@@ -508,30 +508,18 @@ let system buf =
   ignore (Mt_replace.replace Mt_replace.Improved nl);
   let place = Placement.place nl in
   ignore (Switch_insert.insert place);
-  let d = Smt_core.Domains.partition ~domains:2 place in
+  Smt_core.Domains.partition ~domains:2 place;
   bline buf "two power domains on mult8:";
   let rows =
     List.map
       (fun (label, asleep) ->
-        [ label; Printf.sprintf "%.1f" (Smt_core.Domains.standby_leakage d ~asleep) ])
+        [ label; Printf.sprintf "%.1f" (Smt_core.Domains.standby_leakage nl ~asleep) ])
       [
-        ("all awake", []); ("domain 0 asleep", [ 0 ]); ("domain 1 asleep", [ 1 ]);
-        ("full standby", [ 0; 1 ]);
+        ("all awake", []); ("domain 0 asleep", [ "pd0" ]); ("domain 1 asleep", [ "pd1" ]);
+        ("full standby", [ "pd0"; "pd1" ]);
       ]
   in
   bline buf (Text_table.render ~header:[ "State"; "Leakage nW" ] rows);
-  (* sleep-vector selection: the state of the cells left powered matters *)
-  let nl_sv = Generators.multiplier ~name:"m8sv" ~bits:8 lib in
-  ignore (Flow.run Flow.Dual_vth nl_sv);
-  let sv = Smt_power.Sleep_vector.search ~tries:64 nl_sv in
-  bpf buf
-    "\nsleep-vector search (Dual-Vth mult8, 64 vectors): best %.0f nW, average %.0f nW, \
-     worst %.0f nW — parking the inputs well saves %.1f%% of standby leakage for free\n\n"
-    sv.Smt_power.Sleep_vector.best_nw sv.Smt_power.Sleep_vector.average_nw
-    sv.Smt_power.Sleep_vector.worst_nw
-    (100.0
-    *. (sv.Smt_power.Sleep_vector.worst_nw -. sv.Smt_power.Sleep_vector.best_nw)
-    /. sv.Smt_power.Sleep_vector.worst_nw);
   (* VGND lengths measured on the congestion map vs the assumed detour *)
   let nl_vg = Generators.multiplier ~name:"m8vg" ~bits:8 lib in
   let sta_vg = Sta.analyze (Sta.config ~clock_period:probe ()) nl_vg in
@@ -792,6 +780,9 @@ let sections_json per_section =
 
 let () =
   let jobs = Pool.default_jobs () in
+  (* Bechamel runs alone on the calling domain once the pool has joined:
+     it compacts until the major heap's live words settle, which never
+     happens while sibling sections allocate on other domains. *)
   let per_section =
     run_sections ~jobs
       [
@@ -802,8 +793,8 @@ let () =
         ("ablation", ablation);
         ("extensions", extensions);
         ("system", system);
-        ("bechamel", bechamel_benches);
       ]
+    @ run_sections ~jobs:1 [ ("bechamel", bechamel_benches) ]
   in
   (* Buffers print in input order: stdout is identical at any job count. *)
   List.iter (fun (_, out, _) -> print_string out) per_section;

@@ -11,6 +11,8 @@
      smt_flow check -c circuit_a -t improved --fault drop-switch --repair
      smt_flow lint -t improved --jobs 4 --format sarif
      smt_flow lint -c circuit_a --waivers waivers.txt --sarif lint.sarif
+     smt_flow netlist gen -c mult8 -o mult8.v
+     smt_flow netlist equiv mult8.v slim.v
 
    Exit codes: 0 clean, 1 Error-severity violations (check, or run with a
    guard enabled), 2 usage errors. *)
@@ -184,8 +186,10 @@ let technique_of = function
   | "improved" | "imp" -> Ok Flow.Improved_smt
   | s -> Error (Printf.sprintf "unknown technique %s (dual|conventional|improved)" s)
 
-let circuit_arg =
-  Arg.(value & opt string "circuit_a" & info [ "c"; "circuit" ] ~doc:"Circuit name.")
+let circuit_opt default =
+  Arg.(value & opt string default & info [ "c"; "circuit" ] ~doc:"Circuit name.")
+
+let circuit_arg = circuit_opt "circuit_a"
 
 let technique_arg =
   Arg.(value & opt string "improved" & info [ "t"; "technique" ] ~doc:"dual|conventional|improved.")
@@ -2058,6 +2062,106 @@ let flame_cmd =
           placement.")
     Term.(const run $ trace_pos_arg $ out_arg)
 
+(* --- netlist: inspect, validate, optimize, diff and export --- *)
+
+let netlist_cmd =
+  let module Nl_stats = Smt_netlist.Nl_stats in
+  let module Optimize = Smt_netlist.Optimize in
+  let module Writer = Smt_netlist.Writer in
+  let module Equiv = Smt_sim.Equiv in
+  let module Sta = Smt_sta.Sta in
+  let module Global_router = Smt_route.Global_router in
+  (* one library per invocation, shared by every netlist it loads *)
+  let l = lazy (lib ()) in
+  let load path = Smt_netlist.Parser.of_file ~lib:(Lazy.force l) path in
+  let file_arg n doc = Arg.(required & pos n (some file) None & info [] ~doc) in
+  let netlist_file = file_arg 0 "Netlist file." in
+  let out_arg =
+    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc:"Output file.")
+  in
+  let circuit_arg = circuit_opt "mult8" in
+  let generator circuit =
+    match generator_of circuit with
+    | Ok g -> fun () -> g (Lazy.force l)
+    | Error e ->
+      prerr_endline e;
+      exit 2
+  in
+  let emit out text =
+    match out with
+    | Some path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      Printf.printf "wrote %s (%d bytes)\n" path (String.length text)
+    | None -> print_string text
+  in
+  let verb name doc term = Cmd.v (Cmd.info name ~doc) term in
+  let gen circuit out = emit out (Writer.to_string (generator circuit ())) in
+  let stats path = Format.printf "%a@." Nl_stats.pp (Nl_stats.compute (load path)) in
+  let validate path post_mt =
+    let phase = if post_mt then Drc.Post_mt else Drc.Pre_mt in
+    match Drc.validate ~phase (load path) with
+    | [] -> print_endline "ok"
+    | problems ->
+      List.iter print_endline problems;
+      exit 1
+  in
+  let optimize path out =
+    let nl = load path in
+    let r = Optimize.run nl in
+    Printf.printf "removed %d dead cells, collapsed %d buffers (%d iterations)\n"
+      r.Optimize.dead_removed r.Optimize.buffers_collapsed r.Optimize.iterations;
+    emit out (Writer.to_string nl)
+  in
+  let equiv a b =
+    match Equiv.check (load a) (load b) with
+    | Equiv.Equivalent -> print_endline "equivalent"
+    | Equiv.Mismatch { output; _ } ->
+      Printf.printf "NOT equivalent (first mismatch on output %s)\n" output;
+      exit 1
+  in
+  let liberty out = emit out (Smt_cell.Liberty.to_string (Lazy.force l)) in
+  let route circuit =
+    let place = Smt_place.Placement.place (generator circuit ()) in
+    let r = Global_router.route place in
+    Printf.printf
+      "%s: %d nets routed, %.0f um total, overflow %d, max congestion %.2f, detour %.3f\n"
+      circuit (Global_router.routed_nets r) (Global_router.total_length r)
+      (Global_router.overflow r)
+      (Global_router.max_congestion r)
+      (Global_router.detour_factor r place)
+  in
+  let sdf path out =
+    let nl = load path in
+    let probe = 1e6 in
+    let sta0 = Sta.analyze (Sta.config ~clock_period:probe ()) nl in
+    let period = (probe -. Sta.wns sta0) *. 1.1 in
+    let sta = Sta.analyze (Sta.config ~clock_period:period ()) nl in
+    emit out (Smt_sta.Sdf.to_string ~t:sta ~design:(Smt_netlist.Netlist.design_name nl))
+  in
+  let json circuit out =
+    let row = Smt_core.Compare.table1_row (generator circuit) in
+    emit out (Smt_core.Report_json.of_rows [ row ])
+  in
+  let post_mt_arg =
+    Arg.(value & flag & info [ "post-mt" ] ~doc:"Apply the post-MT validation rules.")
+  in
+  Cmd.group
+    (Cmd.info "netlist" ~doc:"Netlist utilities: inspect, validate, optimize, diff and export")
+    [
+      verb "gen" "Generate a circuit and dump it" Term.(const gen $ circuit_arg $ out_arg);
+      verb "stats" "Composition statistics of a netlist file" Term.(const stats $ netlist_file);
+      verb "validate" "Structural validation" Term.(const validate $ netlist_file $ post_mt_arg);
+      verb "optimize" "Dead-logic removal and buffer collapsing"
+        Term.(const optimize $ netlist_file $ out_arg);
+      verb "equiv" "Simulation-based equivalence check of two netlists"
+        Term.(const equiv $ netlist_file $ file_arg 1 "Second netlist.");
+      verb "liberty" "Export the cell library as .lib text" Term.(const liberty $ out_arg);
+      verb "route" "Global-routing congestion snapshot of a generated circuit"
+        Term.(const route $ circuit_arg);
+      verb "sdf" "Export analyzed delays as SDF" Term.(const sdf $ netlist_file $ out_arg);
+      verb "json" "Table-1 comparison of a circuit as JSON" Term.(const json $ circuit_arg $ out_arg);
+    ]
+
 let main =
   Cmd.group
     (Cmd.info "smt_flow" ~version
@@ -2065,7 +2169,7 @@ let main =
     [
       run_cmd; stages_cmd; table1_cmd; corners_cmd; report_cmd; explain_cmd;
       bench_snapshot_cmd; bench_compare_cmd; check_cmd; lint_cmd; list_cmd; runs_cmd;
-      flame_cmd; campaign_cmd;
+      flame_cmd; campaign_cmd; netlist_cmd;
     ]
 
 let () = exit (Cmd.eval main)

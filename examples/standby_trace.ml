@@ -1,16 +1,12 @@
 (* Sleep like a phone: run the improved Selective-MT block through a full
    active -> standby -> wake cycle, verify the Selective-MT invariants,
-   dump a VCD trace of the primary interface, and show what multiple power
-   domains buy in partial-standby states.
+   and show what multiple power domains buy in partial-standby states.
 
      dune exec examples/standby_trace.exe *)
 
 module Netlist = Smt_netlist.Netlist
 module Placement = Smt_place.Placement
 module Sta = Smt_sta.Sta
-module Simulator = Smt_sim.Simulator
-module Logic = Smt_sim.Logic
-module Vcd = Smt_sim.Vcd
 module Flow = Smt_core.Flow
 module Standby = Smt_core.Standby
 module Domains = Smt_core.Domains
@@ -40,34 +36,7 @@ let () =
   Printf.printf "  MTE enable-tree insertion delay            : %.1f ps\n\n"
     (Standby.mte_tree_delay cfg nl);
 
-  (* 2. a VCD trace of the episode, for a waveform viewer *)
-  let sim = Simulator.create nl in
-  Simulator.reset sim;
-  let vcd = Vcd.of_ports nl in
-  let rng = Smt_util.Rng.create 7 in
-  let inputs mte =
-    ("MTE", mte)
-    :: (Netlist.inputs nl
-       |> List.filter (fun (n, nid) ->
-              (not (Netlist.is_clock_net nl nid)) && n <> "MTE")
-       |> List.map (fun (n, _) -> (n, Logic.of_bool (Smt_util.Rng.bool rng))))
-  in
-  let time = ref 0 in
-  let cycle ~mode mte =
-    Simulator.set_inputs sim (inputs mte);
-    Simulator.propagate ~mode sim;
-    Vcd.sample vcd sim ~time:!time;
-    incr time;
-    if mode = Simulator.Active then Simulator.clock_edge sim
-  in
-  for _ = 1 to 4 do cycle ~mode:Simulator.Active Logic.F done;
-  for _ = 1 to 3 do cycle ~mode:Simulator.Standby Logic.T done;
-  for _ = 1 to 4 do cycle ~mode:Simulator.Active Logic.F done;
-  let path = Filename.temp_file "standby" ".vcd" in
-  Vcd.to_file vcd path;
-  Printf.printf "VCD trace of %d cycles written to %s\n\n" !time path;
-
-  (* 3. multiple power domains: partial standby states *)
+  (* 2. multiple power domains: partial standby states *)
   let nl2 = Generators.multiplier ~name:"mult8d" ~bits:8 lib in
   let probe = 1e6 in
   let sta = Sta.analyze (Sta.config ~clock_period:probe ()) nl2 in
@@ -76,14 +45,16 @@ let () =
   ignore (Mt_replace.replace Mt_replace.Improved nl2);
   let place = Placement.place nl2 in
   ignore (Switch_insert.insert place);
-  let d = Domains.partition ~domains:2 place in
-  Printf.printf "two power domains (%d + %d MT-cells):\n"
-    (List.length (Domains.members d 0))
-    (List.length (Domains.members d 1));
+  Domains.partition ~domains:2 place;
+  let mt_cells d =
+    List.length
+      (List.filter (fun iid -> Netlist.inst_domain nl2 iid = Some d) (Mt_replace.mt_cells nl2))
+  in
+  Printf.printf "two power domains (%d + %d MT-cells):\n" (mt_cells "pd0") (mt_cells "pd1");
   List.iter
     (fun (label, asleep) ->
-      Printf.printf "  %-22s %8.1f nW\n" label (Domains.standby_leakage d ~asleep))
+      Printf.printf "  %-22s %8.1f nW\n" label (Domains.standby_leakage nl2 ~asleep))
     [
-      ("all awake", []); ("domain 0 asleep", [ 0 ]); ("domain 1 asleep", [ 1 ]);
-      ("full standby", [ 0; 1 ]);
+      ("all awake", []); ("domain 0 asleep", [ "pd0" ]); ("domain 1 asleep", [ "pd1" ]);
+      ("full standby", [ "pd0"; "pd1" ]);
     ]

@@ -44,15 +44,7 @@ let of_json doc =
     Ok { hb_stage = stage; hb_stages_done = int_of_float stages; hb_beat = int_of_float beat }
   | _ -> Error "heartbeat: missing stage/stages_done/beat"
 
-let write path t =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> try close_out oc with Sys_error _ -> ())
-    (fun () ->
-      output_string oc (to_json t);
-      output_char oc '\n');
-  Sys.rename tmp path
+let write path t = Smt_util.Atomic_file.write ~fsync:false path (to_json t ^ "\n")
 
 let read path =
   match In_channel.with_open_bin path In_channel.input_all with

@@ -43,16 +43,7 @@ let to_json m =
       ("seeds", J.arr (List.map string_of_int m.m_seeds));
     ]
 
-let write dir m =
-  let final = path dir in
-  let tmp = Printf.sprintf "%s.tmp.%d" final (Unix.getpid ()) in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_json m);
-      output_char oc '\n');
-  Sys.rename tmp final
+let write dir m = Smt_util.Atomic_file.write ~fsync:true (path dir) (to_json m ^ "\n")
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 

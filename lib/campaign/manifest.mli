@@ -43,7 +43,7 @@ val path : string -> string
 (** [<dir>/campaign.json]. *)
 
 val write : string -> t -> unit
-(** Atomic (temp + rename), like checkpoints. *)
+(** Atomic (temp + fsync + rename), like checkpoints. *)
 
 val load : string -> (t, string) result
 (** Load from a campaign directory. *)

@@ -55,17 +55,7 @@ let to_json t =
     ]
 
 let write ~dir t =
-  let final = path ~dir t.tl_job in
-  let tmp = Printf.sprintf "%s.tmp.%d" final (Unix.getpid ()) in
-  let fd = Unix.openfile tmp [ Unix.O_CREAT; Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let b = Bytes.of_string (to_json t ^ "\n") in
-      let n = Unix.write fd b 0 (Bytes.length b) in
-      if n <> Bytes.length b then failwith "telemetry: short write";
-      Unix.fsync fd);
-  Sys.rename tmp final
+  Smt_util.Atomic_file.write ~fsync:true (path ~dir t.tl_job) (to_json t ^ "\n")
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 

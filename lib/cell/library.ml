@@ -1,7 +1,12 @@
+(* Flows running on different domains share one library, and [switch]
+   adds cells on demand, so every table access holds [lock]. *)
 type t = {
   tech : Tech.t;
   table : (string, Cell.t) Hashtbl.t;
+  lock : Mutex.t;
 }
+
+let locked t f = Mutex.protect t.lock f
 
 let tech t = t.tech
 
@@ -145,7 +150,7 @@ let make_variant ?(drive = 1) tech kind (vth : Vth.t) (style : Vth.mt_style) : C
       switch_width = w;
     }
 
-let add t cell = Hashtbl.replace t.table cell.Cell.name cell
+let add t cell = locked t (fun () -> Hashtbl.replace t.table cell.Cell.name cell)
 
 let quantize_width w = Float.round (w *. 10.0) /. 10.0
 
@@ -213,7 +218,7 @@ let make_retention tech : Cell.t =
   }
 
 let default ?(tech = Tech.default) () =
-  let t = { tech; table = Hashtbl.create 97 } in
+  let t = { tech; table = Hashtbl.create 97; lock = Mutex.create () } in
   let add_kind kind =
     List.iter
       (fun drive ->
@@ -235,17 +240,14 @@ let default ?(tech = Tech.default) () =
   add t (make_retention tech);
   t
 
-let find t name =
-  match Hashtbl.find_opt t.table name with
-  | Some c -> c
-  | None -> raise Not_found
+let find_opt t name = locked t (fun () -> Hashtbl.find_opt t.table name)
 
-let find_opt t name = Hashtbl.find_opt t.table name
+let find t name = match find_opt t name with Some c -> c | None -> raise Not_found
 
 let variant ?drive t kind vth style = find t (variant_name ?drive kind vth style)
 
 let has_variant ?drive t kind vth style =
-  Hashtbl.mem t.table (variant_name ?drive kind vth style)
+  Option.is_some (find_opt t (variant_name ?drive kind vth style))
 
 let restyle t cell vth style = variant ~drive:cell.Cell.drive t cell.Cell.kind vth style
 
@@ -254,12 +256,13 @@ let resize t cell drive = variant ~drive t cell.Cell.kind cell.Cell.vth cell.Cel
 let switch t ~width =
   let width = Float.max 0.1 (quantize_width width) in
   let name = switch_name width in
-  match Hashtbl.find_opt t.table name with
-  | Some c -> c
-  | None ->
-    let c = make_switch t.tech ~width in
-    add t c;
-    c
+  locked t (fun () ->
+      match Hashtbl.find_opt t.table name with
+      | Some c -> c
+      | None ->
+        let c = make_switch t.tech ~width in
+        Hashtbl.replace t.table name c;
+        c)
 
 let holder t = find t "HOLDER"
 
@@ -275,4 +278,4 @@ let clock_buffer t = find t (variant_name Func.Clkbuf Vth.High Vth.Plain)
 
 let hold_buffer t = variant t Func.Buf Vth.High Vth.Plain
 
-let cells t = Hashtbl.fold (fun _ c acc -> c :: acc) t.table []
+let cells t = locked t (fun () -> Hashtbl.fold (fun _ c acc -> c :: acc) t.table [])

@@ -4,13 +4,6 @@ module Cell = Smt_cell.Cell
 module Vth = Smt_cell.Vth
 module Geom = Smt_util.Geom
 
-type t = {
-  nl : Netlist.t;
-  mtes : Netlist.net_id array;
-  groups : Netlist.inst_id list array;
-  group_switches : Netlist.inst_id list array;
-}
-
 (* Geometric partition: k-means on cell positions with a few Lloyd
    iterations, seeded deterministically along the die diagonal. *)
 let kmeans place cells k =
@@ -75,65 +68,41 @@ let partition ?(domains = 2) ?activity ?params place =
       Netlist.remove_inst nl sw)
     (Netlist.switch_groups nl);
   let groups = kmeans place cells domains in
+  let dom i = Printf.sprintf "pd%d" i in
   let mtes =
     Array.init domains (fun i ->
         let name = Printf.sprintf "MTE%d" i in
-        match Netlist.find_net nl name with
-        | Some nid -> nid
-        | None -> Netlist.add_input nl name)
+        let mte =
+          match Netlist.find_net nl name with
+          | Some nid -> nid
+          | None -> Netlist.add_input nl name
+        in
+        Netlist.add_domain nl ~name:(dom i) ~mte:(Some mte);
+        mte)
   in
-  let group_switches =
-    Array.mapi
-      (fun i members ->
-        match members with
-        | [] -> []
-        | _ ->
-          let before = Netlist.switches nl in
-          let built =
-            Cluster.build ?activity ?params ~dissolve:false ~cells:members place
-              ~mte_net:mtes.(i)
-          in
-          ignore built;
-          List.filter (fun sw -> not (List.mem sw before)) (Netlist.switches nl))
-      groups
-  in
-  { nl; mtes; groups; group_switches }
+  Array.iteri
+    (fun i members ->
+      if members <> [] then begin
+        let before = Netlist.switches nl in
+        ignore
+          (Cluster.build ?activity ?params ~dissolve:false ~cells:members place
+             ~mte_net:mtes.(i));
+        let built = List.filter (fun sw -> not (List.mem sw before)) (Netlist.switches nl) in
+        List.iter (fun iid -> Netlist.set_inst_domain nl iid (Some (dom i))) (members @ built)
+      end)
+    groups
 
-let count t = Array.length t.mtes
-
-let check_index t i =
-  if i < 0 || i >= count t then invalid_arg "Domains: bad domain index"
-
-let mte_net t i =
-  check_index t i;
-  t.mtes.(i)
-
-let members t i =
-  check_index t i;
-  t.groups.(i)
-
-let switches t i =
-  check_index t i;
-  t.group_switches.(i)
-
-let domain_of t iid =
-  let found = ref None in
-  Array.iteri (fun i members -> if !found = None && List.mem iid members then found := Some i)
-    t.groups;
-  !found
-
-let standby_leakage t ~asleep =
-  let nl = t.nl in
-  let asleep_domain iid =
-    match domain_of t iid with Some d -> List.mem d asleep | None -> false
-  in
+let standby_leakage nl ~asleep =
   let total = ref 0.0 in
   Netlist.iter_insts nl (fun iid ->
       let c = Netlist.cell nl iid in
+      let asleep =
+        match Netlist.inst_domain nl iid with Some d -> List.mem d asleep | None -> false
+      in
       let leak =
         match c.Cell.style with
         | Vth.Mt_vgnd | Vth.Mt_no_vgnd ->
-          if asleep_domain iid then c.Cell.leak_standby else c.Cell.leak_active
+          if asleep then c.Cell.leak_standby else c.Cell.leak_active
         | Vth.Plain | Vth.Mt_embedded -> c.Cell.leak_standby
       in
       total := !total +. leak);

@@ -99,4 +99,4 @@ type gc_result = { kept : int; dropped_malformed : int; dropped_old : int }
 val gc : ?keep:int -> string -> (gc_result, string) result
 (** Rewrite the ledger in place (under the append lock): malformed lines
     are dropped; with [keep], only the newest [keep] records (by file
-    order) survive. *)
+    order) survive.  The rewrite is atomic and fsynced. *)

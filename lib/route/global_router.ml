@@ -84,43 +84,6 @@ let route_two_pin grid (c1, r1) (c2, r2) =
     abs (c2 - c1) + abs (r2 - r1)
   end
 
-(* Spanning-tree decomposition of the net's pins into 2-pin connections
-   (Prim order on Manhattan distance). *)
-let two_pin_pairs pts =
-  match pts with
-  | [] | [ _ ] -> []
-  | first :: _ ->
-    let pts = Array.of_list pts in
-    let n = Array.length pts in
-    let in_tree = Array.make n false in
-    let dist = Array.make n infinity in
-    let parent = Array.make n 0 in
-    in_tree.(0) <- true;
-    ignore first;
-    for j = 1 to n - 1 do
-      dist.(j) <- Geom.manhattan pts.(0) pts.(j)
-    done;
-    let pairs = ref [] in
-    for _ = 1 to n - 1 do
-      let best = ref (-1) in
-      for j = 0 to n - 1 do
-        if (not in_tree.(j)) && (!best = -1 || dist.(j) < dist.(!best)) then best := j
-      done;
-      let b = !best in
-      in_tree.(b) <- true;
-      pairs := (pts.(parent.(b)), pts.(b)) :: !pairs;
-      for j = 0 to n - 1 do
-        if not in_tree.(j) then begin
-          let d = Geom.manhattan pts.(b) pts.(j) in
-          if d < dist.(j) then begin
-            dist.(j) <- d;
-            parent.(j) <- b
-          end
-        end
-      done
-    done;
-    List.rev !pairs
-
 let route ?(gcell = 10.0) ?(capacity = 24) place =
   let nl = Placement.netlist place in
   let die = Placement.die place in
@@ -155,7 +118,7 @@ let route ?(gcell = 10.0) ?(capacity = 24) place =
       List.iter
         (fun (a, b) ->
           segments := !segments + route_two_pin grid (gcell_of grid a) (gcell_of grid b))
-        (two_pin_pairs pts);
+        (Geom.spanning_edges pts);
       (* a same-gcell net still has local wiring of roughly its HPWL *)
       let local = if !segments = 0 then Geom.hpwl (Geom.bbox_of_points pts) else 0.0 in
       lengths.(nid) <- (float_of_int !segments *. gcell) +. local;
@@ -229,6 +192,6 @@ let congested_length t pts =
     end
   in
   let weighted =
-    List.fold_left (fun acc (a, b) -> acc +. edge a b) 0.0 (two_pin_pairs pts)
+    List.fold_left (fun acc (a, b) -> acc +. edge a b) 0.0 (Geom.spanning_edges pts)
   in
   Float.max weighted (Geom.spanning_length pts)

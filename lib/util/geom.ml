@@ -48,20 +48,21 @@ let overlap a b = a.lx <= b.hx && b.lx <= a.hx && a.ly <= b.hy && b.ly <= a.hy
 let clamp v ~lo ~hi = if v < lo then lo else if v > hi then hi else v
 
 (* Prim's algorithm over Manhattan distance; O(n^2), fine for cluster-sized
-   point sets (EM caps keep clusters small). *)
-let spanning_length points =
+   point sets (EM caps keep clusters small).  A point's parent changes only
+   on a strictly shorter edge, so ties keep the earliest tree point. *)
+let spanning_edges points =
   match Array.of_list points with
-  | [||] -> 0.0
-  | pts when Array.length pts = 1 -> 0.0
+  | [||] | [| _ |] -> []
   | pts ->
     let n = Array.length pts in
     let in_tree = Array.make n false in
     let dist = Array.make n infinity in
+    let parent = Array.make n 0 in
     in_tree.(0) <- true;
     for j = 1 to n - 1 do
       dist.(j) <- manhattan pts.(0) pts.(j)
     done;
-    let total = ref 0.0 in
+    let edges = ref [] in
     for _ = 1 to n - 1 do
       let best = ref (-1) in
       for j = 0 to n - 1 do
@@ -69,9 +70,18 @@ let spanning_length points =
       done;
       let b = !best in
       in_tree.(b) <- true;
-      total := !total +. dist.(b);
+      edges := (pts.(parent.(b)), pts.(b)) :: !edges;
       for j = 0 to n - 1 do
-        if not in_tree.(j) then dist.(j) <- Float.min dist.(j) (manhattan pts.(b) pts.(j))
+        if not in_tree.(j) then begin
+          let d = manhattan pts.(b) pts.(j) in
+          if d < dist.(j) then begin
+            dist.(j) <- d;
+            parent.(j) <- b
+          end
+        end
       done
     done;
-    !total
+    List.rev !edges
+
+let spanning_length points =
+  List.fold_left (fun acc (a, b) -> acc +. manhattan a b) 0.0 (spanning_edges points)

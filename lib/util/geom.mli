@@ -40,7 +40,12 @@ val overlap : bbox -> bbox -> bool
 
 val clamp : float -> lo:float -> hi:float -> float
 
+val spanning_edges : point list -> (point * point) list
+(** Edges [(parent, child)] of a rectilinear minimum spanning tree over the
+    points (Prim on Manhattan distance, rooted at the first point), in the
+    order Prim adds them.  Empty or singleton lists give [[]]. *)
+
 val spanning_length : point list -> float
-(** Length of a rectilinear spanning tree over the points (Prim on
-    Manhattan distance); the VGND-line length model. Empty or singleton
-    lists give [0.]. *)
+(** Total Manhattan length of {!spanning_edges}, summed in insertion
+    order; the VGND-line length model. Empty or singleton lists give
+    [0.]. *)

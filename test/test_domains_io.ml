@@ -35,72 +35,75 @@ let domain_fixture () =
   ignore (Switch_insert.insert place);
   (nl, place)
 
+(* Read the partition back from the netlist's domain table. *)
+let members nl d =
+  List.filter (fun iid -> Netlist.inst_domain nl iid = Some d) (Mt_replace.mt_cells nl)
+
+let enable nl d = Option.get (List.assoc d (Netlist.domains nl))
+
 let test_partition_covers_all () =
   let nl, place = domain_fixture () in
-  let d = Domains.partition ~domains:3 place in
-  Alcotest.(check int) "three domains" 3 (Domains.count d);
+  Domains.partition ~domains:3 place;
+  Alcotest.(check (list string)) "three domains" [ "pd0"; "pd1"; "pd2" ]
+    (List.map fst (Netlist.domains nl));
   let mt = Mt_replace.mt_cells nl in
-  let assigned =
-    List.concat (List.init 3 (fun i -> Domains.members d i))
-  in
+  let assigned = List.concat_map (members nl) [ "pd0"; "pd1"; "pd2" ] in
   Alcotest.(check int) "all cells assigned" (List.length mt) (List.length assigned);
   Alcotest.(check int) "no duplicates" (List.length assigned)
     (List.length (List.sort_uniq compare assigned));
   (* every MT cell hangs from a switch of its own domain *)
   List.iter
     (fun iid ->
-      match (Domains.domain_of d iid, Netlist.vgnd_switch nl iid) with
+      match (Netlist.inst_domain nl iid, Netlist.vgnd_switch nl iid) with
       | Some dom, Some sw ->
-        Alcotest.(check bool) "switch belongs to the domain" true
-          (List.mem sw (Domains.switches d dom))
+        Alcotest.(check (option string)) "switch belongs to the domain" (Some dom)
+          (Netlist.inst_domain nl sw)
       | _ -> Alcotest.fail "unassigned MT cell")
     mt
 
 let test_partition_own_enables () =
   let nl, place = domain_fixture () in
-  let d = Domains.partition ~domains:2 place in
-  let m0 = Domains.mte_net d 0 and m1 = Domains.mte_net d 1 in
+  Domains.partition ~domains:2 place;
+  let m0 = enable nl "pd0" and m1 = enable nl "pd1" in
   Alcotest.(check bool) "distinct enables" true (m0 <> m1);
   Alcotest.(check bool) "both primary inputs" true
     (Netlist.is_pi nl m0 && Netlist.is_pi nl m1);
   (* switches sit on their own domain's enable *)
   List.iter
-    (fun dom ->
-      List.iter
-        (fun sw ->
-          Alcotest.(check (option int)) "switch on domain enable"
-            (Some (Domains.mte_net d dom))
-            (Netlist.pin_net nl sw "MTE"))
-        (Domains.switches d dom))
-    [ 0; 1 ]
+    (fun sw ->
+      match Netlist.inst_domain nl sw with
+      | Some dom ->
+        Alcotest.(check (option int)) "switch on domain enable" (Some (enable nl dom))
+          (Netlist.pin_net nl sw "MTE")
+      | None -> Alcotest.fail "switch outside every domain")
+    (Netlist.switches nl)
 
 let test_partition_geometric () =
   (* domains should be geometrically coherent: the bounding boxes of the
      two domains overlap less than either spans the die *)
-  let _, place = domain_fixture () in
-  let d = Domains.partition ~domains:2 place in
-  let centroid i = Placement.centroid place (Domains.members d i) in
-  let c0 = centroid 0 and c1 = centroid 1 in
+  let nl, place = domain_fixture () in
+  Domains.partition ~domains:2 place;
+  let centroid d = Placement.centroid place (members nl d) in
+  let c0 = centroid "pd0" and c1 = centroid "pd1" in
   Alcotest.(check bool) "centroids separated" true (Smt_util.Geom.manhattan c0 c1 > 5.0)
 
 let test_partial_sleep_leakage_ordering () =
-  let _, place = domain_fixture () in
-  let d = Domains.partition ~domains:2 place in
-  let awake = Domains.standby_leakage d ~asleep:[] in
-  let half0 = Domains.standby_leakage d ~asleep:[ 0 ] in
-  let half1 = Domains.standby_leakage d ~asleep:[ 1 ] in
-  let full = Domains.standby_leakage d ~asleep:[ 0; 1 ] in
+  let nl, place = domain_fixture () in
+  Domains.partition ~domains:2 place;
+  let awake = Domains.standby_leakage nl ~asleep:[] in
+  let half0 = Domains.standby_leakage nl ~asleep:[ "pd0" ] in
+  let half1 = Domains.standby_leakage nl ~asleep:[ "pd1" ] in
+  let full = Domains.standby_leakage nl ~asleep:[ "pd0"; "pd1" ] in
   Alcotest.(check bool) "sleeping saves (domain 0)" true (half0 < awake);
   Alcotest.(check bool) "sleeping saves (domain 1)" true (half1 < awake);
   Alcotest.(check bool) "full sleep saves most" true (full < Float.min half0 half1);
   (* full sleep equals the ordinary standby accounting *)
-  let nl = Placement.netlist place in
   Alcotest.(check bool) "full sleep ~ global standby" true
     (Float.abs (full -. (Leakage.standby nl).Leakage.total) /. full < 0.2)
 
 let test_partition_validates () =
   let nl, place = domain_fixture () in
-  ignore (Domains.partition ~domains:2 place);
+  Domains.partition ~domains:2 place;
   Alcotest.(check (list string)) "netlist valid post-MT" []
     (Check.validate ~phase:Check.Post_mt nl)
 
@@ -108,14 +111,14 @@ let test_partition_bad_args () =
   let _, place = domain_fixture () in
   Alcotest.(check bool) "zero domains rejected" true
     (try
-       ignore (Domains.partition ~domains:0 place);
+       Domains.partition ~domains:0 place;
        false
      with Invalid_argument _ -> true);
   let plain = Generators.c17 lib in
   let plain_place = Placement.place plain in
   Alcotest.(check bool) "no MT cells rejected" true
     (try
-       ignore (Domains.partition plain_place);
+       Domains.partition plain_place;
        false
      with Invalid_argument _ -> true)
 

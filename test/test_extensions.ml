@@ -13,7 +13,6 @@ module Leakage = Smt_power.Leakage
 module Wakeup = Smt_power.Wakeup
 module Logic = Smt_sim.Logic
 module Simulator = Smt_sim.Simulator
-module Vcd = Smt_sim.Vcd
 module Equiv = Smt_sim.Equiv
 module Gate_sizing = Smt_core.Gate_sizing
 module Retention = Smt_core.Retention
@@ -391,45 +390,6 @@ let test_infrastructure_protected () =
   ignore (Optimize.run nl);
   Alcotest.(check int) "cts/mte/eco buffers untouched" before (count_infra ())
 
-(* --- VCD --- *)
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec loop i = i + nn <= nh && (String.sub hay i nn = needle || loop (i + 1)) in
-  loop 0
-
-let test_vcd_output () =
-  let nl = Generators.counter ~name:"cnt" ~bits:3 lib in
-  let sim = Simulator.create nl in
-  Simulator.reset sim;
-  let vcd = Vcd.of_ports nl in
-  Simulator.set_inputs sim [ ("en", Logic.T) ];
-  for time = 0 to 7 do
-    Simulator.propagate sim;
-    Vcd.sample vcd sim ~time;
-    Simulator.clock_edge sim
-  done;
-  let text = Vcd.to_string vcd in
-  Alcotest.(check bool) "has header" true (contains text "$enddefinitions");
-  Alcotest.(check bool) "declares count0" true (contains text "count0");
-  Alcotest.(check bool) "has timestamps" true (contains text "#0");
-  Alcotest.(check bool) "value changes recorded" true (contains text "#3")
-
-let test_vcd_dedup_and_changes_only () =
-  let nl = Generators.c17 lib in
-  let nid = Option.get (Netlist.find_net nl "G22") in
-  let vcd = Vcd.create nl ~nets:[ nid; nid ] in
-  let sim = Simulator.create nl in
-  Simulator.set_inputs sim
-    (List.map (fun (n, _) -> (n, Logic.F)) (Netlist.inputs nl));
-  Simulator.propagate sim;
-  Vcd.sample vcd sim ~time:0;
-  Vcd.sample vcd sim ~time:1;
-  (* unchanged value: no second event *)
-  let text = Vcd.to_string vcd in
-  Alcotest.(check bool) "time 0 present" true (contains text "#0");
-  Alcotest.(check bool) "time 1 absent (no change)" false (contains text "#1")
-
 (* --- new generators --- *)
 
 let test_kogge_stone_correct () =
@@ -633,11 +593,6 @@ let () =
           Alcotest.test_case "buffer collapse" `Quick test_buffer_collapse;
           Alcotest.test_case "preserves flow result" `Quick test_optimize_preserves_flow_result;
           Alcotest.test_case "infrastructure protected" `Quick test_infrastructure_protected;
-        ] );
-      ( "vcd",
-        [
-          Alcotest.test_case "output format" `Quick test_vcd_output;
-          Alcotest.test_case "dedup & change-only" `Quick test_vcd_dedup_and_changes_only;
         ] );
       ( "generators",
         [

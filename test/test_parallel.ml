@@ -68,25 +68,64 @@ let test_pool_jobs1_in_place () =
   Alcotest.(check (list int)) "sequential result" [ 2; 3; 4 ] r;
   Alcotest.(check bool) "ran on the calling domain" false !saw_worker
 
+(* Workers only record what they observe into their own slots; the
+   assertions run on the calling domain after the pool has joined, since
+   Alcotest is not domain-safe. *)
 let test_pool_nested_degrades () =
-  let xs = List.init 6 Fun.id in
+  let xs = List.init 6 Fun.id and ys = [ 1; 2; 3 ] in
+  let outer = Array.make (List.length xs) None in
+  let same = Array.make (List.length xs * List.length ys) false in
   let r =
     Pool.map ~jobs:2
       (fun x ->
         let wi = Pool.worker_index () in
-        Alcotest.(check bool) "outer jobs run on workers" true (wi <> None);
+        outer.(x) <- wi;
         let inner =
           Pool.map ~jobs:2
             (fun y ->
-              Alcotest.(check bool) "nested map stays on the same worker" true
-                (Pool.worker_index () = wi);
+              same.((x * List.length ys) + y - 1) <- Pool.worker_index () = wi;
               x * y)
-            [ 1; 2; 3 ]
+            ys
         in
         List.fold_left ( + ) 0 inner)
       xs
   in
+  Array.iter
+    (fun wi -> Alcotest.(check bool) "outer jobs run on workers" true (wi <> None))
+    outer;
+  Array.iter
+    (fun s -> Alcotest.(check bool) "nested map stays on the same worker" true s)
+    same;
   Alcotest.(check (list int)) "nested results" (List.map (fun x -> 6 * x) xs) r
+
+(* Flows on different domains share one library while [Library.switch]
+   adds cells on demand: concurrent creation and lookup must neither
+   raise nor hand two domains different cells for one width. *)
+let test_library_shared_across_domains () =
+  for _ = 1 to 20 do
+    let l = Library.default () in
+    let got =
+      Pool.map ~jobs:4
+        (fun w ->
+          try
+            Ok
+              (List.init 200 (fun i ->
+                   let width = 0.5 +. (0.1 *. float_of_int (i + w)) in
+                   ignore (Library.holder l);
+                   (width, Library.switch l ~width)))
+          with e -> Error (Printexc.to_string e))
+        [ 0; 1; 2; 3 ]
+    in
+    List.iter
+      (function
+        | Error e -> Alcotest.fail ("library access raced: " ^ e)
+        | Ok cells ->
+          List.iter
+            (fun (width, c) ->
+              Alcotest.(check bool) "one cell per width" true (Library.switch l ~width == c))
+            cells)
+      got
+  done
 
 let test_default_jobs_positive () =
   Alcotest.(check bool) "at least one job" true (Pool.default_jobs () >= 1)
@@ -254,6 +293,8 @@ let () =
             test_pool_failure_leaks_no_domains;
           Alcotest.test_case "jobs=1 runs in place" `Quick test_pool_jobs1_in_place;
           Alcotest.test_case "nested maps degrade" `Quick test_pool_nested_degrades;
+          Alcotest.test_case "library shared across domains" `Quick
+            test_library_shared_across_domains;
           Alcotest.test_case "default_jobs positive" `Quick test_default_jobs_positive;
           Alcotest.test_case "SMT_JOBS parsing" `Quick test_default_jobs_env_parsing;
         ] );

@@ -9,10 +9,8 @@ module Placement = Smt_place.Placement
 module Parasitics = Smt_route.Parasitics
 module Sta = Smt_sta.Sta
 module Geom = Smt_util.Geom
-module Heap = Smt_util.Heap
 module Stats = Smt_util.Stats
 module Rng = Smt_util.Rng
-module Union_find = Smt_util.Union_find
 module Library = Smt_cell.Library
 module Generators = Smt_circuits.Generators
 
@@ -21,32 +19,6 @@ let lib = Library.default ()
 let qtest = QCheck_alcotest.to_alcotest
 
 (* --- util properties --- *)
-
-let prop_heap_sorts =
-  QCheck2.Test.make ~name:"heap drains sorted" ~count:200
-    QCheck2.Gen.(list int)
-    (fun xs ->
-      let h = Heap.of_array ~cmp:compare (Array.of_list xs) in
-      Heap.to_sorted_list h = List.sort compare xs)
-
-let prop_heap_push_pop_min =
-  QCheck2.Test.make ~name:"heap pop is the minimum" ~count:200
-    QCheck2.Gen.(list_size (int_range 1 50) int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      Heap.pop h = Some (List.fold_left min (List.hd xs) xs))
-
-let prop_union_find_transitive =
-  QCheck2.Test.make ~name:"union-find transitivity" ~count:100
-    QCheck2.Gen.(list_size (int_range 0 60) (pair (int_range 0 19) (int_range 0 19)))
-    (fun pairs ->
-      let uf = Union_find.create 20 in
-      List.iter (fun (a, b) -> Union_find.union uf a b) pairs;
-      (* find is consistent with same *)
-      List.for_all
-        (fun (a, b) -> Union_find.same uf a b = (Union_find.find uf a = Union_find.find uf b))
-        pairs)
 
 let prop_percentile_bounded =
   QCheck2.Test.make ~name:"percentile within min/max" ~count:200
@@ -68,6 +40,34 @@ let prop_spanning_vs_bbox =
       let lower = Float.max (Geom.width box) (Geom.height box) in
       let upper = float_of_int (List.length pts - 1) *. Geom.hpwl box in
       len >= lower -. 1e-6 && len <= upper +. 1e-6)
+
+let prop_spanning_edges_sum =
+  (* the VGND length and the router's 2-pin pairs come from one tree: the
+     length is the in-order edge sum, bit for bit, and the edges span the
+     points (n-1 edges, each attaching a new point to one already in the
+     tree).  Small integer grids make distance ties common. *)
+  QCheck2.Test.make ~name:"spanning length is the in-order edge sum" ~count:300
+    QCheck2.Gen.(
+      list_size (int_range 0 40)
+        (oneof
+           [
+             pair (float_range 0. 100.) (float_range 0. 100.);
+             map (fun (x, y) -> (float_of_int x, float_of_int y))
+               (pair (int_range 0 4) (int_range 0 4));
+           ]))
+    (fun raw ->
+      let pts = List.map (fun (x, y) -> Geom.point x y) raw in
+      let edges = Geom.spanning_edges pts in
+      let sum = List.fold_left (fun acc (a, b) -> acc +. Geom.manhattan a b) 0.0 edges in
+      let attached =
+        List.fold_left
+          (fun (ok, seen) (a, b) -> (ok && List.memq a seen, b :: seen))
+          (true, match pts with p :: _ -> [ p ] | [] -> [])
+          edges
+      in
+      Int64.equal (Int64.bits_of_float sum) (Int64.bits_of_float (Geom.spanning_length pts))
+      && List.length edges = max 0 (List.length pts - 1)
+      && fst attached)
 
 let prop_rng_int_uniformish =
   QCheck2.Test.make ~name:"rng int hits the whole range" ~count:20
@@ -349,15 +349,6 @@ let prop_compose_sound =
       && (Nl_stats.compute top).Nl_stats.instances
          = sa.Nl_stats.instances + sb.Nl_stats.instances)
 
-let prop_sleep_vector_bounded =
-  QCheck2.Test.make ~name:"state-aware leakage never exceeds stateless" ~count:12 seed_gen
-    (fun seed ->
-      let nl = random_netlist seed in
-      let s = Smt_power.Sleep_vector.search ~tries:8 ~seed nl in
-      let stateless = (Smt_power.Leakage.standby nl).Smt_power.Leakage.total in
-      s.Smt_power.Sleep_vector.best_nw <= s.Smt_power.Sleep_vector.worst_nw +. 1e-9
-      && s.Smt_power.Sleep_vector.worst_nw <= stateless +. 1e-9)
-
 let prop_standby_protocol_holds =
   QCheck2.Test.make ~name:"standby protocol invariants on random circuits" ~count:6
     (QCheck2.Gen.int_range 0 500)
@@ -571,11 +562,9 @@ let () =
     [
       ( "util",
         [
-          qtest prop_heap_sorts;
-          qtest prop_heap_push_pop_min;
-          qtest prop_union_find_transitive;
           qtest prop_percentile_bounded;
           qtest prop_spanning_vs_bbox;
+          qtest prop_spanning_edges_sum;
           qtest prop_rng_int_uniformish;
         ] );
       ( "netlist",
@@ -611,6 +600,5 @@ let () =
           qtest prop_standby_protocol_holds;
           qtest prop_incremental_sta_exact;
           qtest prop_compose_sound;
-          qtest prop_sleep_vector_bounded;
         ] );
     ]
