@@ -34,6 +34,8 @@ module Switch_insert = Smt_core.Switch_insert
 module Suite = Smt_circuits.Suite
 module Generators = Smt_circuits.Generators
 module Text_table = Smt_util.Text_table
+module Geom = Smt_util.Geom
+module Rng = Smt_util.Rng
 module Metrics = Smt_obs.Metrics
 module Par = Smt_obs.Par
 module Pool = Smt_util.Pool
@@ -663,6 +665,34 @@ let bechamel_benches buf =
     let ins = Switch_insert.insert place in
     fun () -> ignore (Cluster.build place ~mte_net:ins.Switch_insert.mte_net)
   in
+  (* The VGND spanning tree alone, on row-quantised (placement-like) point
+     sets: a cluster-sized net, the initial one-switch net of datapath-mult64
+     (17,072 points) and a mid rung, plus a set where about half the points
+     repeat an earlier location. *)
+  let row_points ?(coincident = false) n =
+    let r = Rng.create n in
+    let side = 2.0 *. sqrt (float_of_int n) in
+    let pts =
+      Array.init n (fun _ ->
+          Geom.point
+            (0.5 *. float_of_int (Rng.int r (int_of_float (side /. 0.5))))
+            (2.0 *. (float_of_int (Rng.int r (int_of_float (side /. 2.0))) +. 0.5)))
+    in
+    if coincident then
+      for i = 1 to n - 1 do
+        if Rng.bool r then pts.(i) <- pts.(Rng.int r i)
+      done;
+    Array.to_list pts
+  in
+  let workload_mst pts () = ignore (Geom.spanning_edges pts) in
+  let mst_workloads =
+    [
+      ("geom-mst-25", workload_mst (row_points 25));
+      ("geom-mst-4k", workload_mst (row_points 4000));
+      ("geom-mst-17k", workload_mst (row_points 17072));
+      ("geom-mst-4k-coincident", workload_mst (row_points ~coincident:true 4000));
+    ]
+  in
   let workloads =
     [
       ("table1-improved-flow-circuit-a", workload_table1);
@@ -721,7 +751,9 @@ let bechamel_benches buf =
   bnl buf;
   let test =
     Test.make_grouped ~name:"selective-mt"
-      (List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) workloads)
+      (List.map
+         (fun (name, f) -> Test.make ~name (Staged.stage f))
+         (workloads @ mst_workloads))
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~kde:(Some 10) () in

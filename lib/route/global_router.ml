@@ -191,7 +191,7 @@ let congested_length t pts =
       Float.min via_a via_b
     end
   in
-  let weighted =
-    List.fold_left (fun acc (a, b) -> acc +. edge a b) 0.0 (Geom.spanning_edges pts)
-  in
-  Float.max weighted (Geom.spanning_length pts)
+  (* one tree: [sum Geom.manhattan] is [Geom.spanning_length pts], bit for bit *)
+  let edges = Geom.spanning_edges pts in
+  let sum f = List.fold_left (fun acc (a, b) -> acc +. f a b) 0.0 edges in
+  Float.max (sum edge) (sum Geom.manhattan)

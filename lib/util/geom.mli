@@ -42,8 +42,26 @@ val clamp : float -> lo:float -> hi:float -> float
 
 val spanning_edges : point list -> (point * point) list
 (** Edges [(parent, child)] of a rectilinear minimum spanning tree over the
-    points (Prim on Manhattan distance, rooted at the first point), in the
-    order Prim adds them.  Empty or singleton lists give [[]]. *)
+    points, rooted at the first point, in the order Prim's algorithm on
+    Manhattan distance adds them.  Empty or singleton lists give [[]].
+
+    The tree is fixed by two tie rules, which callers may rely on (the
+    VGND length is summed in this order, and the router routes these
+    pairs):
+    - next point: the non-tree point of least distance to the tree, the
+      lowest list index among equal distances;
+    - parent: of the tree points at that distance, the earliest inserted.
+
+    Coincident points follow from these rules: each extra copy of a
+    location is added straight after the location's first copy (its
+    lowest index), in index order, on a zero-length edge from that first
+    copy.
+
+    Cost: sets of at most 32 points take the dense O(n^2) scan.  Larger
+    sets collapse coincident points, then run a lazy Prim over a k-d tree
+    with deletions: O(n log n) time on placement-like sets and O(n) memory.
+    The result is the dense scan's, edge for edge.  A set with a
+    non-finite coordinate takes the dense scan at any size. *)
 
 val spanning_length : point list -> float
 (** Total Manhattan length of {!spanning_edges}, summed in insertion

@@ -41,22 +41,86 @@ let prop_spanning_vs_bbox =
       let upper = float_of_int (List.length pts - 1) *. Geom.hpwl box in
       len >= lower -. 1e-6 && len <= upper +. 1e-6)
 
+(* The dense O(n^2) Prim scan: the reference that [Geom.spanning_edges]
+   must reproduce edge for edge, same point objects in the same order. *)
+let reference_spanning_edges points =
+  match Array.of_list points with
+  | [||] | [| _ |] -> []
+  | pts ->
+    let n = Array.length pts in
+    let in_tree = Array.make n false in
+    let dist = Array.make n infinity in
+    let parent = Array.make n 0 in
+    in_tree.(0) <- true;
+    for j = 1 to n - 1 do
+      dist.(j) <- Geom.manhattan pts.(0) pts.(j)
+    done;
+    let edges = ref [] in
+    for _ = 1 to n - 1 do
+      let best = ref (-1) in
+      for j = 0 to n - 1 do
+        if (not in_tree.(j)) && (!best = -1 || dist.(j) < dist.(!best)) then best := j
+      done;
+      let b = !best in
+      in_tree.(b) <- true;
+      edges := (pts.(parent.(b)), pts.(b)) :: !edges;
+      for j = 0 to n - 1 do
+        if not in_tree.(j) then begin
+          let d = Geom.manhattan pts.(b) pts.(j) in
+          if d < dist.(j) then begin
+            dist.(j) <- d;
+            parent.(j) <- b
+          end
+        end
+      done
+    done;
+    List.rev !edges
+
+let same_edges a b =
+  List.length a = List.length b
+  && List.for_all2 (fun (p, c) (p', c') -> p == p' && c == c') a b
+
+(* Point sets for the MST properties, as (shape, size, seed).  Sizes
+   straddle the dense-scan cutoff; the shapes make distance ties common:
+   uniform floats, a small integer grid, placement-like rows (x on a site
+   grid, y on row centres), one collinear row, a grid where about half
+   the points repeat an earlier location, and uniform floats with one
+   non-finite coordinate (a placement file can hold one). *)
+let point_set (shape, n, seed) =
+  let r = Rng.create seed in
+  let grid () = Geom.point (float_of_int (Rng.int r 5)) (float_of_int (Rng.int r 5)) in
+  let pts =
+    Array.init n (fun _ ->
+        match shape with
+        | 1 | 4 -> grid ()
+        | 2 -> Geom.point (0.5 *. float_of_int (Rng.int r 200)) (2.0 *. (float_of_int (Rng.int r 12) +. 0.5))
+        | 3 -> Geom.point (float_of_int (Rng.int r 60)) 7.0
+        | _ -> Geom.point (Rng.float r 100.) (Rng.float r 100.))
+  in
+  if shape = 4 then
+    for i = 1 to n - 1 do
+      if Rng.bool r then begin
+        let q = pts.(Rng.int r i) in
+        pts.(i) <- Geom.point q.Geom.x q.Geom.y
+      end
+    done;
+  if shape = 5 && n > 0 then
+    pts.(Rng.int r n) <- Geom.point (Rng.pick r [| nan; infinity; neg_infinity |]) 1.0;
+  Array.to_list pts
+
+let gen_point_set = QCheck2.Gen.(triple (int_range 0 5) (int_range 0 400) int)
+
+let print_point_set (shape, n, seed) = Printf.sprintf "shape %d, %d points, seed %d" shape n seed
+
 let prop_spanning_edges_sum =
   (* the VGND length and the router's 2-pin pairs come from one tree: the
      length is the in-order edge sum, bit for bit, and the edges span the
      points (n-1 edges, each attaching a new point to one already in the
-     tree).  Small integer grids make distance ties common. *)
+     tree). *)
   QCheck2.Test.make ~name:"spanning length is the in-order edge sum" ~count:300
-    QCheck2.Gen.(
-      list_size (int_range 0 40)
-        (oneof
-           [
-             pair (float_range 0. 100.) (float_range 0. 100.);
-             map (fun (x, y) -> (float_of_int x, float_of_int y))
-               (pair (int_range 0 4) (int_range 0 4));
-           ]))
-    (fun raw ->
-      let pts = List.map (fun (x, y) -> Geom.point x y) raw in
+    ~print:print_point_set gen_point_set
+    (fun spec ->
+      let pts = point_set spec in
       let edges = Geom.spanning_edges pts in
       let sum = List.fold_left (fun acc (a, b) -> acc +. Geom.manhattan a b) 0.0 edges in
       let attached =
@@ -68,6 +132,19 @@ let prop_spanning_edges_sum =
       Int64.equal (Int64.bits_of_float sum) (Int64.bits_of_float (Geom.spanning_length pts))
       && List.length edges = max 0 (List.length pts - 1)
       && fst attached)
+
+let prop_spanning_edges_reference =
+  QCheck2.Test.make ~name:"spanning edges match the dense Prim reference" ~count:300
+    ~print:print_point_set gen_point_set
+    (fun spec ->
+      let pts = point_set spec in
+      same_edges (Geom.spanning_edges pts) (reference_spanning_edges pts))
+
+let test_spanning_edges_reference_4k () =
+  (* one placement-sized row set, far past the dense-scan cutoff *)
+  let pts = point_set (2, 4000, 4000) in
+  Alcotest.(check bool) "edges" true
+    (same_edges (Geom.spanning_edges pts) (reference_spanning_edges pts))
 
 let prop_rng_int_uniformish =
   QCheck2.Test.make ~name:"rng int hits the whole range" ~count:20
@@ -565,6 +642,9 @@ let () =
           qtest prop_percentile_bounded;
           qtest prop_spanning_vs_bbox;
           qtest prop_spanning_edges_sum;
+          qtest prop_spanning_edges_reference;
+          Alcotest.test_case "spanning edges match the reference at 4000 points" `Quick
+            test_spanning_edges_reference_4k;
           qtest prop_rng_int_uniformish;
         ] );
       ( "netlist",
