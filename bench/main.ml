@@ -693,6 +693,16 @@ let bechamel_benches buf =
       ("geom-mst-4k-coincident", workload_mst (row_points ~coincident:true 4000));
     ]
   in
+  (* The two netlist walks the flow repeats most, alone, on a registered
+     32x32 multiplier (6,080 instances): the switching-activity estimate at
+     the flow's 200 cycles and a full placement (12 refinement passes). *)
+  let mult32 = Generators.multiplier ~name:"m32" ~bits:32 lib in
+  let layer_workloads =
+    [
+      ("activity-mult32", fun () -> ignore (Smt_sim.Activity.estimate ~cycles:200 mult32));
+      ("place-mult32", fun () -> ignore (Placement.place mult32));
+    ]
+  in
   let workloads =
     [
       ("table1-improved-flow-circuit-a", workload_table1);
@@ -753,7 +763,7 @@ let bechamel_benches buf =
     Test.make_grouped ~name:"selective-mt"
       (List.map
          (fun (name, f) -> Test.make ~name (Staged.stage f))
-         (workloads @ mst_workloads))
+         (workloads @ mst_workloads @ layer_workloads))
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~kde:(Some 10) () in

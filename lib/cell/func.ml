@@ -64,32 +64,34 @@ let is_infrastructure = function
   | Or2 | Or3 | Xor2 | Xnor2 | Aoi21 | Oai21 | Mux2 | Dff ->
     false
 
-let eval kind inputs =
-  let need n =
-    if Array.length inputs <> n then
-      invalid_arg
-        (Printf.sprintf "Func.eval: %d inputs given, %d expected" (Array.length inputs) n)
-  in
+let eval4 kind a b c d =
   match kind with
-  | Inv -> need 1; not inputs.(0)
-  | Buf | Clkbuf -> need 1; inputs.(0)
-  | Nand2 -> need 2; not (inputs.(0) && inputs.(1))
-  | Nand3 -> need 3; not (inputs.(0) && inputs.(1) && inputs.(2))
-  | Nand4 -> need 4; not (inputs.(0) && inputs.(1) && inputs.(2) && inputs.(3))
-  | Nor2 -> need 2; not (inputs.(0) || inputs.(1))
-  | Nor3 -> need 3; not (inputs.(0) || inputs.(1) || inputs.(2))
-  | And2 -> need 2; inputs.(0) && inputs.(1)
-  | And3 -> need 3; inputs.(0) && inputs.(1) && inputs.(2)
-  | Or2 -> need 2; inputs.(0) || inputs.(1)
-  | Or3 -> need 3; inputs.(0) || inputs.(1) || inputs.(2)
-  | Xor2 -> need 2; inputs.(0) <> inputs.(1)
-  | Xnor2 -> need 2; inputs.(0) = inputs.(1)
-  | Aoi21 -> need 3; not ((inputs.(0) && inputs.(1)) || inputs.(2))
-  | Oai21 -> need 3; not ((inputs.(0) || inputs.(1)) && inputs.(2))
-  | Mux2 -> need 3; if inputs.(2) then inputs.(1) else inputs.(0)
+  | Inv -> not a
+  | Buf | Clkbuf -> a
+  | Nand2 -> not (a && b)
+  | Nand3 -> not (a && b && c)
+  | Nand4 -> not (a && b && c && d)
+  | Nor2 -> not (a || b)
+  | Nor3 -> not (a || b || c)
+  | And2 -> a && b
+  | And3 -> a && b && c
+  | Or2 -> a || b
+  | Or3 -> a || b || c
+  | Xor2 -> a <> b
+  | Xnor2 -> a = b
+  | Aoi21 -> not ((a && b) || c)
+  | Oai21 -> not ((a || b) && c)
+  | Mux2 -> if c then b else a
   | Dff -> invalid_arg "Func.eval: Dff is sequential"
   | Sleep_switch -> invalid_arg "Func.eval: Sleep_switch has no logic function"
   | Holder -> invalid_arg "Func.eval: Holder has no logic function"
+
+let eval kind inputs =
+  let n = Array.length inputs in
+  if n <> arity kind && not (is_sequential kind || is_infrastructure kind) then
+    invalid_arg (Printf.sprintf "Func.eval: %d inputs given, %d expected" n (arity kind));
+  let bit i = i < n && inputs.(i) in
+  eval4 kind (bit 0) (bit 1) (bit 2) (bit 3)
 
 let to_string = function
   | Inv -> "INV"

@@ -43,5 +43,11 @@ val eval : kind -> bool array -> bool
     [Invalid_argument] on sequential/infrastructure kinds or arity
     mismatch. *)
 
+val eval4 : kind -> bool -> bool -> bool -> bool -> bool
+(** [eval] with the inputs passed positionally, in [input_names] order;
+    inputs past the kind's arity are ignored.  Allocates nothing, for the
+    simulator's inner loop.  Raises like [eval] on sequential and
+    infrastructure kinds. *)
+
 val to_string : kind -> string
 val of_string : string -> kind option

@@ -41,28 +41,23 @@ let place_inst t iid p = Hashtbl.replace t.coords iid (clamp_into t.die p)
 
 let port_point t name = Hashtbl.find_opt t.ports name
 
-let pin_points t nid =
+(* Everything on a net in [pin_points] order, unresolved: the driver,
+   sink and holder instances (placed or not), then the port pad. *)
+let net_members t nid =
   let nl = t.nl in
-  let of_inst iid = Hashtbl.find_opt t.coords iid in
-  let driver = match Netlist.driver nl nid with
-    | Some p -> (match of_inst p.Netlist.inst with Some pt -> [ pt ] | None -> [])
-    | None -> []
-  in
-  let sinks =
-    List.filter_map (fun (p : Netlist.pin) -> of_inst p.Netlist.inst) (Netlist.sinks nl nid)
-  in
-  let holder =
-    match Netlist.holder_of nl nid with
-    | Some h -> (match of_inst h with Some pt -> [ pt ] | None -> [])
-    | None -> []
-  in
-  let pads =
-    let name = Netlist.net_name nl nid in
+  let driver = match Netlist.driver nl nid with Some p -> [ p.Netlist.inst ] | None -> [] in
+  let sinks = List.map (fun (p : Netlist.pin) -> p.Netlist.inst) (Netlist.sinks nl nid) in
+  let holder = Option.to_list (Netlist.holder_of nl nid) in
+  let pad =
     if Netlist.is_pi nl nid || Netlist.is_po nl nid then
-      match Hashtbl.find_opt t.ports name with Some p -> [ p ] | None -> []
-    else []
+      Hashtbl.find_opt t.ports (Netlist.net_name nl nid)
+    else None
   in
-  driver @ sinks @ holder @ pads
+  (driver @ sinks @ holder, pad)
+
+let pin_points t nid =
+  let insts, pad = net_members t nid in
+  List.filter_map (Hashtbl.find_opt t.coords) insts @ Option.to_list pad
 
 let net_hpwl t nid =
   match pin_points t nid with
@@ -75,19 +70,16 @@ let total_hpwl t =
   !acc
 
 let centroid t insts =
-  match insts with
-  | [] -> Geom.center t.die
-  | _ ->
-    let n = float_of_int (List.length insts) in
-    let sx, sy =
-      List.fold_left
-        (fun (sx, sy) iid ->
-          match Hashtbl.find_opt t.coords iid with
-          | Some p -> (sx +. p.Geom.x, sy +. p.Geom.y)
-          | None -> (sx, sy))
-        (0.0, 0.0) insts
-    in
-    { Geom.x = sx /. n; Geom.y = sy /. n }
+  let n, sx, sy =
+    List.fold_left
+      (fun ((n, sx, sy) as acc) iid ->
+        match Hashtbl.find_opt t.coords iid with
+        | Some p -> (n + 1, sx +. p.Geom.x, sy +. p.Geom.y)
+        | None -> acc)
+      (0, 0.0, 0.0) insts
+  in
+  if n = 0 then Geom.center t.die
+  else { Geom.x = sx /. float_of_int n; Geom.y = sy /. float_of_int n }
 
 let to_string t =
   let b = Buffer.create 4096 in
@@ -147,57 +139,51 @@ let levels nl =
     order;
   level
 
-let legalize t order_hint =
-  (* Bucket cells into rows, spill overfull rows into their neighbours (so
-     no row exceeds the die width), then pack each row left-to-right. *)
-  let rows = Array.make t.rows [] in
-  let cell_width iid = (Netlist.cell t.nl iid).Cell.area /. t.row_height in
-  List.iter
-    (fun iid ->
-      match Hashtbl.find_opt t.coords iid with
-      | None -> ()
-      | Some p ->
-        let row =
-          int_of_float ((p.Geom.y -. t.die.Geom.ly) /. t.row_height)
-          |> max 0 |> min (t.rows - 1)
-        in
-        rows.(row) <- (iid, p.Geom.x) :: rows.(row))
-    order_hint;
-  let capacity = Geom.width t.die in
-  (* Global repack: walk the cells in (row, x) order and refill the rows
-     sequentially, never exceeding the row capacity.  Total cell width is at
-     most utilization * rows * capacity, so the greedy fill always fits (the
-     last row absorbs any remainder). *)
-  let ordered =
-    Array.to_list rows
-    |> List.concat_map (fun members ->
-           List.sort (fun (_, x1) (_, x2) -> compare x1 x2) members)
+(* Row legalization of the cells [keyed], whose widths are [widths] (same
+   order), at [xs]/[ys] (by instance id), in place.  Bucket the cells into
+   rows by y, then walk them in (row, x) order, ties latest in [keyed]
+   first, refilling the rows sequentially and never exceeding the row
+   capacity, and pack each row left to right.  Total cell width is at most
+   utilization * rows * capacity, so the greedy fill always fits (the last
+   row absorbs any remainder). *)
+let legalize t keyed widths xs ys =
+  let die = t.die in
+  let row_of iid =
+    int_of_float ((ys.(iid) -. die.Geom.ly) /. t.row_height) |> max 0 |> min (t.rows - 1)
   in
-  let repacked = Array.make t.rows [] in
-  let row = ref 0 in
-  let used = ref 0.0 in
-  List.iter
-    (fun (iid, x) ->
-      let w = cell_width iid in
-      if !used +. w > capacity && !row < t.rows - 1 && repacked.(!row) <> [] then begin
-        incr row;
-        used := 0.0
-      end;
-      repacked.(!row) <- (iid, x) :: repacked.(!row);
-      used := !used +. w)
-    ordered;
+  let rows = Array.map row_of keyed in
+  let order = Array.init (Array.length keyed) Fun.id in
+  Array.stable_sort
+    (fun i j ->
+      match Int.compare rows.(i) rows.(j) with
+      | 0 -> (
+        match Float.compare xs.(keyed.(i)) xs.(keyed.(j)) with 0 -> Int.compare j i | c -> c)
+      | c -> c)
+    order;
+  let capacity = Geom.width die in
+  let row = ref 0 and used = ref 0.0 and x = ref die.Geom.lx in
   Array.iteri
-    (fun r members ->
-      let members = List.rev members in
-      let y = t.die.Geom.ly +. ((float_of_int r +. 0.5) *. t.row_height) in
-      let x = ref t.die.Geom.lx in
-      List.iter
-        (fun (iid, _) ->
-          let w = cell_width iid in
-          Hashtbl.replace t.coords iid { Geom.x = !x +. (w /. 2.0); Geom.y = y };
-          x := !x +. w)
-        members)
-    repacked
+    (fun k i ->
+      let w = widths.(i) in
+      if !used +. w > capacity && !row < t.rows - 1 && k > 0 then begin
+        incr row;
+        used := 0.0;
+        x := die.Geom.lx
+      end;
+      let iid = keyed.(i) in
+      xs.(iid) <- !x +. (w /. 2.0);
+      ys.(iid) <- die.Geom.ly +. ((float_of_int !row +. 0.5) *. t.row_height);
+      x := !x +. w;
+      used := !used +. w)
+    order
+
+(* The lists [f 0 .. f (n - 1)] flattened, with the start of each one's
+   slice: list [i] is [flat.(start.(i)) .. flat.(start.(i + 1) - 1)]. *)
+let csr n f =
+  let lists = Array.init n f in
+  let start = Array.make (n + 1) 0 in
+  Array.iteri (fun i l -> start.(i + 1) <- start.(i) + List.length l) lists;
+  (start, Array.of_list (List.concat (Array.to_list lists)))
 
 let place ?(seed = 1) ?(utilization = 0.65) ?(iterations = 12) nl =
   Trace.with_span "Placement.place"
@@ -225,76 +211,104 @@ let place ?(seed = 1) ?(utilization = 0.65) ?(iterations = 12) nl =
   in
   spread die.Geom.lx (Netlist.inputs nl);
   spread die.Geom.hx (Netlist.outputs nl);
+  (* Coordinates live in [xs]/[ys], by instance id, until the end. *)
+  let n = Netlist.inst_count nl in
+  let xs = Array.make n 0.0 and ys = Array.make n 0.0 in
   (* Constructive placement: sweep by logic level, snake through rows. *)
   let level = levels nl in
-  let insts = Netlist.live_insts nl in
   let keyed =
-    List.map (fun iid -> (iid, (level.(iid), Rng.int rng 1000))) insts
+    List.map (fun iid -> (iid, (level.(iid), Rng.int rng 1000))) (Netlist.live_insts nl)
     |> List.sort (fun (_, k1) (_, k2) -> compare k1 k2)
-    |> List.map fst
+    |> List.map fst |> Array.of_list
   in
-  let per_row = max 1 ((List.length keyed + rows - 1) / rows) in
-  List.iteri
+  let per_row = max 1 ((Array.length keyed + rows - 1) / rows) in
+  Array.iteri
     (fun i iid ->
       let row = i / per_row in
       let pos = i mod per_row in
       let pos = if row mod 2 = 1 then per_row - 1 - pos else pos in
-      let x =
-        die.Geom.lx +. ((float_of_int pos +. 0.5) /. float_of_int per_row *. Geom.width die)
-      in
-      let y = die.Geom.ly +. ((float_of_int (row mod rows) +. 0.5) *. row_height) in
-      Hashtbl.replace t.coords iid { Geom.x; Geom.y })
+      xs.(iid) <-
+        die.Geom.lx +. ((float_of_int pos +. 0.5) /. float_of_int per_row *. Geom.width die);
+      ys.(iid) <- die.Geom.ly +. ((float_of_int (row mod rows) +. 0.5) *. row_height))
     keyed;
   (* Force-directed refinement: move every cell toward the centroid of its
-     neighbours (connected instances and port pads), then legalize rows. *)
-  let neighbours iid =
-    let nets =
-      List.filter_map
-        (fun (pin, nid) ->
-          (* the clock net connects everything; skip it *)
-          if Netlist.is_clock_net nl nid then None else Some (pin, nid))
-        (Netlist.conns nl iid)
-    in
-    List.concat_map
-      (fun (_, nid) ->
-        let pts = pin_points t nid in
-        let self = Hashtbl.find_opt t.coords iid in
-        match self with
-        | None -> pts
-        | Some p -> List.filter (fun q -> q <> p) pts)
-      nets
+     neighbours (connected instances and port pads), then legalize rows.
+     Connectivity is resolved once: a net's slice of [members] holds its
+     [pin_points] in order, an entry [i >= 0] naming instance [i] and
+     [-1 - k] port pad [k]; an instance's slice of [inst_nets] holds its
+     nets in [conns] order, less the clock net, which connects everything.
+     Cells move in place, so a cell sees the cells moved before it in the
+     same pass. *)
+  let placed = Array.make n false in
+  Array.iter (fun iid -> placed.(iid) <- true) keyed;
+  let pads = ref [] and pad_count = ref 0 in
+  let pad_entry = function
+    | None -> []
+    | Some p ->
+      let k = !pad_count in
+      pads := p :: !pads;
+      incr pad_count;
+      [ -1 - k ]
   in
+  let net_start, members =
+    csr (Netlist.net_count nl) (fun nid ->
+        if Netlist.is_clock_net nl nid then []
+        else
+          let insts, pad = net_members t nid in
+          List.filter (fun iid -> placed.(iid)) insts @ pad_entry pad)
+  in
+  let pads = Array.of_list (List.rev !pads) in
+  let inst_start, inst_nets =
+    csr n (fun iid ->
+        List.filter_map
+          (fun (_, nid) -> if Netlist.is_clock_net nl nid then None else Some nid)
+          (Netlist.conns nl iid))
+  in
+  let widths = Array.map (fun iid -> (Netlist.cell nl iid).Cell.area /. row_height) keyed in
   let moved = ref 0 in
   for _pass = 1 to iterations do
     Metrics.incr m_iterations;
-    List.iter
+    Array.iter
       (fun iid ->
-        let pts = neighbours iid in
-        match pts with
-        | [] -> ()
-        | _ ->
-          let n = float_of_int (List.length pts) in
-          let sx = List.fold_left (fun acc p -> acc +. p.Geom.x) 0.0 pts in
-          let sy = List.fold_left (fun acc p -> acc +. p.Geom.y) 0.0 pts in
-          let target = { Geom.x = sx /. n; Geom.y = sy /. n } in
-          let cur = Hashtbl.find t.coords iid in
+        let px = xs.(iid) and py = ys.(iid) in
+        let pts = ref 0 and sx = ref 0.0 and sy = ref 0.0 in
+        for k = inst_start.(iid) to inst_start.(iid + 1) - 1 do
+          let nid = inst_nets.(k) in
+          for j = net_start.(nid) to net_start.(nid + 1) - 1 do
+            let m = members.(j) in
+            let qx = if m >= 0 then xs.(m) else pads.(-1 - m).Geom.x in
+            let qy = if m >= 0 then ys.(m) else pads.(-1 - m).Geom.y in
+            (* points at the cell's own position do not pull it *)
+            if not (qx = px && qy = py) then begin
+              incr pts;
+              sx := !sx +. qx;
+              sy := !sy +. qy
+            end
+          done
+        done;
+        if !pts > 0 then begin
+          let k = float_of_int !pts in
           let blended =
-            { Geom.x = (cur.Geom.x +. target.Geom.x) /. 2.0;
-              Geom.y = (cur.Geom.y +. target.Geom.y) /. 2.0 }
+            { Geom.x = (px +. (!sx /. k)) /. 2.0; Geom.y = (py +. (!sy /. k)) /. 2.0 }
           in
           let next = clamp_into die blended in
-          if next <> cur then incr moved;
-          Hashtbl.replace t.coords iid next)
+          if not (next.Geom.x = px && next.Geom.y = py) then incr moved;
+          xs.(iid) <- next.Geom.x;
+          ys.(iid) <- next.Geom.y
+        end)
       keyed;
-    legalize t keyed
+    legalize t keyed widths xs ys
   done;
+  Array.iter
+    (fun iid -> Hashtbl.replace t.coords iid { Geom.x = xs.(iid); Geom.y = ys.(iid) })
+    keyed;
   Metrics.incr ~by:!moved m_moves;
   if Log.enabled Log.Debug then
     Log.debug "place" "placed"
       ~fields:
         [
           ("design", Netlist.design_name nl);
-          ("cells", string_of_int (List.length keyed));
+          ("cells", string_of_int (Array.length keyed));
           ("iterations", string_of_int iterations);
           ("moves", string_of_int !moved);
           ("hpwl", Printf.sprintf "%.1f" (total_hpwl t));

@@ -5,14 +5,25 @@
     an output holder, which forces it to 1, the holder polarity the paper
     specifies — while plain high-Vth cells keep evaluating whatever reaches
     them.  This lets tests observe exactly the floating-input hazard that
-    holder insertion must eliminate. *)
+    holder insertion must eliminate.
+
+    [create] compiles the netlist: it resolves every gate's kind, input
+    and output nets, standby behaviour and every flip-flop's Q and D nets
+    into flat arrays once, so [propagate] never looks a pin up by name.
+    The simulator is therefore a snapshot: edits made to the netlist after
+    [create] are not seen.  [propagate] raises [Invalid_argument] when the
+    netlist has gained instances or nets since; other edits (rewiring,
+    cell swaps, holders) are not detected, so build a new simulator after
+    any edit.  The module keeps no global mutable state, so simulators
+    may run concurrently on separate domains. *)
 
 type mode = Active | Standby
 
 type t
 
 val create : Smt_netlist.Netlist.t -> t
-(** Builds the evaluation order once. Raises [Smt_netlist.Netlist.Combinational_cycle]. *)
+(** Compiles the netlist as it is now. Raises
+    [Smt_netlist.Netlist.Combinational_cycle]. *)
 
 val netlist : t -> Smt_netlist.Netlist.t
 
@@ -23,7 +34,9 @@ val set_inputs : t -> (string * Logic.value) list -> unit
 (** By port name; unknown names raise [Invalid_argument]. *)
 
 val propagate : ?mode:mode -> t -> unit
-(** Combinational settle from current inputs and flip-flop states. *)
+(** Combinational settle from current inputs and flip-flop states.
+    Raises [Invalid_argument] if the netlist's instance or net count
+    changed since [create]. *)
 
 val clock_edge : t -> unit
 (** Latch every flip-flop's D into its state (call after [propagate]). *)
@@ -32,7 +45,11 @@ val value : t -> Smt_netlist.Netlist.net_id -> Logic.value
 val output_values : t -> (string * Logic.value) list
 
 val ff_state : t -> Smt_netlist.Netlist.inst_id -> Logic.value
+(** A flip-flop's state; 0 for any instance never set. *)
+
 val set_ff_state : t -> Smt_netlist.Netlist.inst_id -> Logic.value -> unit
+(** Raises [Invalid_argument] for an instance id added after [create]. *)
+
 val reset : ?state:Logic.value -> t -> unit
 (** Reset flip-flop states (default all 0) and clear net values. *)
 

@@ -126,6 +126,23 @@ let test_centroid () =
   let die_c = Geom.center (Placement.die place) in
   Alcotest.(check bool) "empty = die centre" true (empty_c = die_c)
 
+let test_centroid_skips_unplaced () =
+  (* an instance added after placement has no location: it must not pull
+     the centroid toward the origin *)
+  let nl = Generators.c17 lib in
+  let place = Placement.place nl in
+  let a, b =
+    match Netlist.live_insts nl with a :: b :: _ -> (a, b) | _ -> Alcotest.fail "c17 too small"
+  in
+  let late =
+    Netlist.add_inst nl ~name:"late" (Netlist.cell nl a) [ ("Z", Netlist.add_net nl "late_z") ]
+  in
+  Alcotest.(check bool) "late is unplaced" true (Placement.inst_point_opt place late = None);
+  Alcotest.(check bool) "mean of the placed members" true
+    (Placement.centroid place [ a; late; b ] = Placement.centroid place [ a; b ]);
+  Alcotest.(check bool) "none placed = die centre" true
+    (Placement.centroid place [ late ] = Geom.center (Placement.die place))
+
 let test_net_hpwl_and_pin_points () =
   let nl = Generators.c17 lib in
   let place = Placement.place nl in
@@ -151,6 +168,7 @@ let () =
         [
           Alcotest.test_case "hpwl positive/localized" `Quick test_hpwl_positive_and_localized;
           Alcotest.test_case "centroid" `Quick test_centroid;
+          Alcotest.test_case "centroid skips unplaced" `Quick test_centroid_skips_unplaced;
           Alcotest.test_case "net pins" `Quick test_net_hpwl_and_pin_points;
         ] );
     ]

@@ -634,6 +634,133 @@ let prop_incremental_matches_full =
       done;
       !ok)
 
+(* --- compiled fast paths against their reference implementations --- *)
+
+module Logic = Smt_sim.Logic
+module Simulator = Smt_sim.Simulator
+
+(* Vth assignment at 5% over the critical delay, then MT replacement and,
+   for [~insert], switch and holder insertion: the netlist states the
+   simulator and placement meet inside the flow. *)
+let mt_transform style ~insert nl =
+  let probe = 1e6 in
+  let sta = Sta.analyze (Sta.config ~clock_period:probe ()) nl in
+  let period = (probe -. Sta.wns sta) *. 1.05 in
+  ignore (Smt_core.Vth_assign.assign (Sta.config ~clock_period:period ()) nl);
+  if Smt_core.Mt_replace.replace style nl > 0 && insert then
+    ignore (Smt_core.Switch_insert.insert (Placement.place nl));
+  nl
+
+(* Every MT style and holders appear across the kinds: 2 embedded
+   (conventional), 3 without VGND ports, 4 with VGND ports, a shared switch
+   and holders, 5 several power domains with isolation holders. *)
+let oracle_circuit (kind, seed) =
+  let suite () = if seed mod 2 = 0 then Suite.tiny lib else Suite.fig23_example lib in
+  match kind with
+  | 0 ->
+    Generators.layered ~seed ~min_depth:2 ~name:"orc" ~inputs:6 ~outputs:4 ~width:8 ~depth:5
+      lib
+  | 1 -> Generators.multiplier ~registered:true ~name:"orc" ~bits:(2 + (seed mod 4)) lib
+  | 2 -> mt_transform Smt_core.Mt_replace.Conventional ~insert:false (suite ())
+  | 3 -> mt_transform Smt_core.Mt_replace.Improved ~insert:false (suite ())
+  | 4 -> mt_transform Smt_core.Mt_replace.Improved ~insert:true (suite ())
+  | _ -> Suite.multi_domain ~domains:(2 + (seed mod 3)) ~name:"orc" lib
+
+let gen_oracle_circuit = QCheck2.Gen.(pair (int_range 0 5) (int_range 0 1000))
+let print_oracle_circuit (kind, seed) = Printf.sprintf "kind %d, seed %d" kind seed
+
+let prop_simulator_matches_reference =
+  QCheck2.Test.make ~name:"compiled simulator matches the interpreting reference" ~count:40
+    ~print:print_oracle_circuit gen_oracle_circuit
+    (fun circuit ->
+      let nl = oracle_circuit circuit in
+      let fast = Simulator.create nl and slow = Reference.Simulator.create nl in
+      let rng = Rng.create (snd circuit) in
+      let draw () = match Rng.int rng 5 with 0 -> Logic.X | 1 | 2 -> Logic.T | _ -> Logic.F in
+      let insts = Netlist.live_insts nl in
+      let ok = ref true in
+      let agree () =
+        for nid = 0 to Netlist.net_count nl - 1 do
+          if not (Logic.equal (Simulator.value fast nid) (Reference.Simulator.value slow nid))
+          then ok := false
+        done;
+        List.iter
+          (fun iid ->
+            let ours = Simulator.ff_state fast iid in
+            if not (Logic.equal ours (Reference.Simulator.ff_state slow iid)) then ok := false)
+          insts
+      in
+      let state = draw () in
+      Simulator.reset ~state fast;
+      Reference.Simulator.reset ~state slow;
+      List.iter
+        (fun iid ->
+          if Rng.int rng 3 = 0 then begin
+            let v = draw () in
+            Simulator.set_ff_state fast iid v;
+            Reference.Simulator.set_ff_state slow iid v
+          end)
+        insts;
+      for _ = 1 to 6 do
+        List.iter
+          (fun (_, nid) ->
+            let v = draw () in
+            Simulator.set_input fast nid v;
+            Reference.Simulator.set_input slow nid v)
+          (Netlist.inputs nl);
+        if Rng.int rng 3 = 0 then begin
+          Simulator.propagate ~mode:Simulator.Standby fast;
+          Reference.Simulator.propagate ~mode:Reference.Simulator.Standby slow
+        end
+        else begin
+          Simulator.propagate fast;
+          Reference.Simulator.propagate slow
+        end;
+        agree ();
+        Simulator.clock_edge fast;
+        Reference.Simulator.clock_edge slow;
+        agree ()
+      done;
+      !ok)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_activity_matches_reference =
+  QCheck2.Test.make ~name:"activity factors match the reference bit for bit" ~count:24
+    ~print:print_oracle_circuit gen_oracle_circuit
+    (fun ((_, seed) as circuit) ->
+      let nl = oracle_circuit circuit in
+      let fast = Smt_sim.Activity.estimate ~cycles:32 ~seed nl in
+      let slow = Reference.Activity.estimate ~cycles:32 ~seed nl in
+      Array.length fast.Smt_sim.Activity.toggles_per_cycle = Array.length slow
+      && Array.for_all2 same_bits fast.Smt_sim.Activity.toggles_per_cycle slow)
+
+let m_place_moves = Smt_obs.Metrics.counter "place.moves"
+
+let prop_placement_matches_reference =
+  QCheck2.Test.make ~name:"placement matches the list-based reference" ~count:12
+    ~print:print_oracle_circuit gen_oracle_circuit
+    (fun circuit ->
+      let nl = oracle_circuit circuit in
+      List.for_all
+        (fun (seed, utilization) ->
+          let before = Smt_obs.Metrics.counter_value m_place_moves in
+          let fast = Placement.place ~seed ~utilization nl in
+          let moves = Smt_obs.Metrics.counter_value m_place_moves - before in
+          let dump, ref_moves = Reference.Placement.place ~seed ~utilization nl in
+          String.equal (Placement.to_string fast) dump && moves = ref_moves)
+        [ (1, 0.65); (5, 0.9) ])
+
+let test_oracles_on_circuit_b () =
+  (* one full-size paper circuit through all three references *)
+  let nl = Suite.circuit_b lib in
+  let fast = Smt_sim.Activity.estimate ~cycles:16 ~seed:3 nl in
+  Alcotest.(check bool) "activity" true
+    (Array.for_all2 same_bits fast.Smt_sim.Activity.toggles_per_cycle
+       (Reference.Activity.estimate ~cycles:16 ~seed:3 nl));
+  let dump, _ = Reference.Placement.place ~seed:1 nl in
+  Alcotest.(check string) "placement" dump (Placement.to_string (Placement.place ~seed:1 nl))
+
 let () =
   Alcotest.run "smt_props"
     [
@@ -670,6 +797,13 @@ let () =
           qtest prop_repair_clears_repairable;
           qtest prop_flow_products_lint_clean;
           qtest prop_incremental_matches_full;
+        ] );
+      ( "oracles",
+        [
+          qtest prop_simulator_matches_reference;
+          qtest prop_activity_matches_reference;
+          qtest prop_placement_matches_reference;
+          Alcotest.test_case "references agree on circuit_b" `Quick test_oracles_on_circuit_b;
         ] );
       ( "extensions",
         [

@@ -327,6 +327,17 @@ let test_activity_bounds () =
       Alcotest.(check bool) "factor in [0,1]" true (f >= 0.0 && f <= 1.0));
   Alcotest.(check bool) "some switching happens" true (Activity.average act > 0.0)
 
+let test_stale_simulator_rejected () =
+  (* the simulator compiles the netlist at [create]; growing the netlist
+     afterwards must be refused, not read out of bounds *)
+  let nl = Generators.c17 lib in
+  let sim = Simulator.create nl in
+  Simulator.propagate sim;
+  ignore (Netlist.add_net nl "late");
+  Alcotest.check_raises "propagate after an edit"
+    (Invalid_argument "Simulator.propagate: the netlist gained instances or nets since create")
+    (fun () -> Simulator.propagate sim)
+
 let test_activity_deterministic () =
   let nl = Generators.c17 lib in
   let a1 = Activity.estimate ~cycles:64 ~seed:3 nl in
@@ -348,6 +359,7 @@ let () =
         [
           Alcotest.test_case "c17 exhaustive" `Quick test_c17_exhaustive;
           Alcotest.test_case "input guards" `Quick test_set_input_guards;
+          Alcotest.test_case "stale simulator rejected" `Quick test_stale_simulator_rejected;
         ] );
       ( "sequential",
         [
