@@ -125,19 +125,27 @@ let fig1 buf =
 (* FIG 2/3: conventional vs improved circuit on the same logic        *)
 (* ------------------------------------------------------------------ *)
 
+(* Dual-Vth assignment against 1.05x the ideal-wire minimal period: the
+   common first step of every mini-pipeline below. *)
+let assign_vth nl =
+  ignore (Vth_assign.assign (Sta.config ~clock_period:(Flow.minimal_period nl *. 1.05) ()) nl)
+
+(* The improved transform up to the switch structure: Vth assignment, MT
+   replacement ([replace], default the selective one), placement and
+   switch/holder insertion.  Returns the MT-cell count, the placement and
+   the insertion result. *)
+let improved_prefix ?(replace = Mt_replace.replace) nl =
+  assign_vth nl;
+  let n = replace Mt_replace.Improved nl in
+  let place = Placement.place nl in
+  (n, place, Switch_insert.insert place)
+
 let transform technique nl =
-  let probe = 1e6 in
-  let sta = Sta.analyze (Sta.config ~clock_period:probe ()) nl in
-  let period = (probe -. Sta.wns sta) *. 1.05 in
-  ignore (Vth_assign.assign (Sta.config ~clock_period:period ()) nl);
+  assign_vth nl;
   match technique with
   | `Conventional ->
     let n = Mt_replace.replace Mt_replace.Conventional nl in
-    let mte = Switch_insert.mte_net_of nl in
-    Netlist.iter_insts nl (fun iid ->
-        let c = Netlist.cell nl iid in
-        if Vth.style_equal c.Cell.style Vth.Mt_embedded && Netlist.pin_net nl iid "MTE" = None
-        then Netlist.connect nl iid "MTE" mte);
+    Flow.connect_embedded_mte nl (Switch_insert.mte_net_of nl);
     (n, n (* one embedded switch and holder per MT-cell *), n, nl)
   | `Improved ->
     let n = Mt_replace.replace Mt_replace.Improved nl in
@@ -333,13 +341,7 @@ let extensions buf =
     List.map
       (fun cap ->
         let nl = Generators.multiplier ~name:"m8w" ~bits:8 lib in
-        let probe = 1e6 in
-        let sta = Sta.analyze (Sta.config ~clock_period:probe ()) nl in
-        let period = (probe -. Sta.wns sta) *. 1.05 in
-        ignore (Vth_assign.assign (Sta.config ~clock_period:period ()) nl);
-        ignore (Mt_replace.replace Mt_replace.Improved nl);
-        let place = Placement.place nl in
-        let ins = Switch_insert.insert place in
+        let _, place, ins = improved_prefix nl in
         let params = { (Cluster.default_params tech) with Cluster.cell_limit = cap } in
         let built = Cluster.build ~params place ~mte_net:ins.Switch_insert.mte_net in
         let wire_length_of = Cluster.vgnd_lengths place in
@@ -503,13 +505,7 @@ let system buf =
        nl);
   (* power domains: the partial-standby states a single MTE cannot express *)
   let nl = Generators.multiplier ~name:"m8pd" ~bits:8 lib in
-  let probe = 1e6 in
-  let sta = Sta.analyze (Sta.config ~clock_period:probe ()) nl in
-  let period = (probe -. Sta.wns sta) *. 1.05 in
-  ignore (Vth_assign.assign (Sta.config ~clock_period:period ()) nl);
-  ignore (Mt_replace.replace Mt_replace.Improved nl);
-  let place = Placement.place nl in
-  ignore (Switch_insert.insert place);
+  let _, place, _ = improved_prefix nl in
   Smt_core.Domains.partition ~domains:2 place;
   bline buf "two power domains on mult8:";
   let rows =
@@ -524,12 +520,7 @@ let system buf =
   bline buf (Text_table.render ~header:[ "State"; "Leakage nW" ] rows);
   (* VGND lengths measured on the congestion map vs the assumed detour *)
   let nl_vg = Generators.multiplier ~name:"m8vg" ~bits:8 lib in
-  let sta_vg = Sta.analyze (Sta.config ~clock_period:probe ()) nl_vg in
-  let period_vg = (probe -. Sta.wns sta_vg) *. 1.05 in
-  ignore (Vth_assign.assign (Sta.config ~clock_period:period_vg ()) nl_vg);
-  ignore (Mt_replace.replace Mt_replace.Improved nl_vg);
-  let place_vg = Placement.place nl_vg in
-  let ins_vg = Switch_insert.insert place_vg in
+  let _, place_vg, ins_vg = improved_prefix nl_vg in
   ignore (Cluster.build place_vg ~mte_net:ins_vg.Switch_insert.mte_net);
   let routed_vg = Smt_route.Global_router.route place_vg in
   let vgnd_len = Cluster.vgnd_lengths place_vg in
@@ -590,15 +581,8 @@ let system buf =
   bline buf "\nall-MT comparison point (identical pipelines on mult8):";
   let mini ~all name =
     let nl = Generators.multiplier ~name ~bits:8 lib in
-    let sta0 = Sta.analyze (Sta.config ~clock_period:probe ()) nl in
-    let period = (probe -. Sta.wns sta0) *. 1.05 in
-    ignore (Vth_assign.assign (Sta.config ~clock_period:period ()) nl);
-    let n =
-      if all then Mt_replace.replace_all Mt_replace.Improved nl
-      else Mt_replace.replace Mt_replace.Improved nl
-    in
-    let place = Placement.place nl in
-    let ins = Switch_insert.insert place in
+    let replace = if all then Mt_replace.replace_all else Mt_replace.replace in
+    let n, place, ins = improved_prefix ~replace nl in
     let act = Smt_sim.Activity.estimate ~cycles:64 nl in
     ignore (Cluster.build ~activity:act place ~mte_net:ins.Switch_insert.mte_net);
     let stats = Smt_netlist.Nl_stats.compute nl in
@@ -656,13 +640,7 @@ let bechamel_benches buf =
   let workload_fig4 () = ignore (Flow.run Flow.Improved_smt (Suite.circuit_b lib)) in
   let workload_ablation =
     let nl = Generators.multiplier ~name:"m8c" ~bits:8 lib in
-    let probe = 1e6 in
-    let sta = Sta.analyze (Sta.config ~clock_period:probe ()) nl in
-    let period = (probe -. Sta.wns sta) *. 1.05 in
-    ignore (Vth_assign.assign (Sta.config ~clock_period:period ()) nl);
-    ignore (Mt_replace.replace Mt_replace.Improved nl);
-    let place = Placement.place nl in
-    let ins = Switch_insert.insert place in
+    let _, place, ins = improved_prefix nl in
     fun () -> ignore (Cluster.build place ~mte_net:ins.Switch_insert.mte_net)
   in
   (* The VGND spanning tree alone, on row-quantised (placement-like) point

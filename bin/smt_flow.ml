@@ -53,6 +53,18 @@ let tool = "smt_flow " ^ version
 
 let lib () = Library.default ()
 
+(* --- usage errors: every bad input ends here, message on stderr, exit 2 --- *)
+
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
+
+(* Unwrap a resolver's result; [ctx] frames the error message. *)
+let or_die ?(ctx = Fun.id) = function Ok x -> x | Error e -> die "%s" (ctx e)
+
 (* --- observability flags, shared by every subcommand --- *)
 
 type obs = {
@@ -107,14 +119,7 @@ let ledger_arg =
 
 let obs_term =
   let setup trace metrics log_level profile ledger =
-    (match log_level with
-    | None -> ()
-    | Some s -> (
-      match Obs_log.level_of_string s with
-      | Ok l -> Obs_log.set_level l
-      | Error e ->
-        prerr_endline e;
-        exit 2));
+    Option.iter (fun s -> Obs_log.set_level (or_die (Obs_log.level_of_string s))) log_level;
     if trace <> None then Trace.enable ();
     let ledger = match ledger with Some _ as l -> l | None -> Ledger.default_path () in
     let profile = profile || ledger <> None in
@@ -152,39 +157,42 @@ let ledger_append obs ~kind ?(tag = "") ?(circuit = "-") ?(technique = "-")
     Ledger.append path r;
     Printf.eprintf "ledger: appended record %s to %s\n%!" r.Ledger.r_id path
 
-(* The run-ledger form of one completed flow report: QoR fields, counter
-   deltas over the run, stage wall-clock, and — when profiling — the
-   per-stage GC attribution. *)
-let ledger_workload_of_report ~name ~before (r : Flow.report) =
-  let workload =
-    Smt_obs.Snapshot.workload ~name
-      ~qor:(Smt_core.Qor.qor_of r)
-      ~counters:(Smt_core.Qor.counter_delta ~before ~after:(Metrics.counters ()))
-      ~stage_ms:
-        (List.map (fun (s : Flow.stage) -> (s.Flow.stage_name, s.Flow.stage_ms)) r.Flow.stages)
-  in
-  {
-    Ledger.lw_workload = workload;
-    Ledger.lw_prof =
-      List.filter_map
-        (fun (s : Flow.stage) ->
-          Option.map (fun p -> (s.Flow.stage_name, p)) s.Flow.stage_prof)
-        r.Flow.stages;
-  }
+(* --- resolvers: a name on the command line to the value it denotes --- *)
 
 let generator_of name =
   match List.assoc_opt name Suite.all with
-  | Some g -> Ok g
+  | Some g -> g
   | None ->
-    Error
-      (Printf.sprintf "unknown circuit %s (try: %s)" name
-         (String.concat ", " (List.map fst Suite.all)))
+    die "unknown circuit %s (try: %s)" name (String.concat ", " (List.map fst Suite.all))
 
 let technique_of = function
-  | "dual" | "dual-vth" -> Ok Flow.Dual_vth
-  | "conventional" | "con" -> Ok Flow.Conventional_smt
-  | "improved" | "imp" -> Ok Flow.Improved_smt
-  | s -> Error (Printf.sprintf "unknown technique %s (dual|conventional|improved)" s)
+  | "dual" | "dual-vth" -> Flow.Dual_vth
+  | "conventional" | "con" -> Flow.Conventional_smt
+  | "improved" | "imp" -> Flow.Improved_smt
+  | s -> die "unknown technique %s (dual|conventional|improved)" s
+
+let fault_of name =
+  match Fault.of_name name with
+  | Some f -> f
+  | None ->
+    die "unknown fault %s (try: %s)" name (String.concat ", " (List.map Fault.name Fault.all))
+
+let guard_of s = or_die (Flow.guard_of_string s)
+
+let seeded seed = { Flow.default_options with Flow.seed }
+
+(* The post-flow reports (corners, report, explain) all read one timing
+   context: the flow's own final post-route analysis, VGND bounce and
+   clock latency included — the one [run] signs off.  Resolving the
+   names first and running on demand lets a caller validate its own
+   arguments in between. *)
+let post_flow circuit technique seed =
+  let gen = generator_of circuit in
+  let t = technique_of technique in
+  fun () ->
+    let nl = gen (lib ()) in
+    let report, art = Flow.run_with_artifacts ~options:(seeded seed) t nl in
+    (nl, report, art)
 
 let circuit_opt default =
   Arg.(value & opt string default & info [ "c"; "circuit" ] ~doc:"Circuit name.")
@@ -208,9 +216,7 @@ let jobs_arg =
 
 let jobs_of = function
   | Some n when n >= 1 -> n
-  | Some n ->
-    Printf.eprintf "--jobs must be >= 1 (got %d)\n" n;
-    exit 2
+  | Some n -> die "--jobs must be >= 1 (got %d)" n
   | None -> Smt_util.Pool.default_jobs ()
 
 let bounce_arg =
@@ -240,8 +246,7 @@ let options_of ?(retention = false) ?(sizing = false) seed bounce length cells =
     }
   in
   {
-    Flow.default_options with
-    Flow.seed;
+    (seeded seed) with
     Flow.cluster_params = Some p;
     Flow.retention_registers = retention;
     Flow.gate_sizing = sizing;
@@ -263,13 +268,6 @@ let guard_arg =
            aborts on the first Error.  Any mode other than off makes the command exit 1 \
            when Error-severity violations remain.")
 
-let guard_of s =
-  match Flow.guard_of_string s with
-  | Ok g -> g
-  | Error e ->
-    prerr_endline e;
-    exit 2
-
 let print_diagnostics (report : Flow.report) =
   if report.Flow.diagnostics <> [] then begin
     Printf.printf "guard diagnostics (%d violations, %d repairs%s):\n"
@@ -280,40 +278,31 @@ let print_diagnostics (report : Flow.report) =
 
 let run_cmd =
   let run obs circuit technique seed bounce length cells retention sizing emit guard =
-    match (generator_of circuit, technique_of technique) with
-    | Error e, _ | _, Error e ->
-      prerr_endline e;
-      exit 2
-    | Ok gen, Ok t ->
-      let guard = guard_of guard in
-      let options =
-        { (options_of ~retention ~sizing seed bounce length cells) with Flow.guard }
-      in
-      let nl = gen (lib ()) in
-      let before = Metrics.counters () in
-      (match Flow.run ~options t nl with
-      | report ->
-        Format.printf "%a@." Flow.pp_report report;
-        print_diagnostics report;
-        (match emit with
-        | Some path ->
-          Smt_netlist.Writer.to_file nl path;
-          Printf.printf "netlist written to %s\n" path
-        | None -> ());
-        let name =
-          Printf.sprintf "%s/%s" circuit (Smt_core.Qor.technique_slug t)
-        in
-        ledger_append obs ~kind:"run" ~circuit ~technique:(Smt_core.Qor.technique_slug t)
-          ~guard:(Flow.guard_name guard)
-          [ ledger_workload_of_report ~name ~before report ];
-        finish obs;
-        if guard <> Flow.Guard_off && Drc.has_errors (Drc.check nl) then exit 1
-      | exception Flow.Flow_error e ->
-        Printf.eprintf "flow aborted at stage %S on %s:\n" e.Flow.fe_stage
-          e.Flow.fe_circuit;
-        List.iter (fun d -> Printf.eprintf "  %s\n" d) e.Flow.fe_diagnostics;
-        finish obs;
-        exit 1)
+    let gen = generator_of circuit in
+    let t = technique_of technique in
+    let guard = guard_of guard in
+    let options = { (options_of ~retention ~sizing seed bounce length cells) with Flow.guard } in
+    let nl = gen (lib ()) in
+    let before = Metrics.counters () in
+    match Flow.run ~options t nl with
+    | report ->
+      Format.printf "%a@." Flow.pp_report report;
+      print_diagnostics report;
+      (match emit with
+      | Some path ->
+        Smt_netlist.Writer.to_file nl path;
+        Printf.printf "netlist written to %s\n" path
+      | None -> ());
+      let slug = Smt_core.Qor.technique_slug t in
+      ledger_append obs ~kind:"run" ~circuit ~technique:slug ~guard:(Flow.guard_name guard)
+        [ Smt_core.Qor.ledger_workload ~name:(circuit ^ "/" ^ slug) ~before report ];
+      finish obs;
+      if guard <> Flow.Guard_off && Drc.has_errors (Drc.check nl) then exit 1
+    | exception Flow.Flow_error e ->
+      Printf.eprintf "flow aborted at stage %S on %s:\n" e.Flow.fe_stage e.Flow.fe_circuit;
+      List.iter (fun d -> Printf.eprintf "  %s\n" d) e.Flow.fe_diagnostics;
+      finish obs;
+      exit 1
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one flow on one circuit")
     Term.(
@@ -322,83 +311,67 @@ let run_cmd =
 
 let corners_cmd =
   let run obs circuit technique seed =
-    match (generator_of circuit, technique_of technique) with
-    | Error e, _ | _, Error e ->
-      prerr_endline e;
-      exit 2
-    | Ok gen, Ok t ->
-      let options = { Flow.default_options with Flow.seed } in
-      let nl = gen (lib ()) in
-      let report = Flow.run ~options t nl in
-      Printf.printf "multi-corner sign-off of %s (%s), clock %.1f ps:\n\n"
-        report.Flow.circuit
-        (Flow.technique_name report.Flow.technique)
-        report.Flow.clock_period;
-      let cfg =
-        Smt_sta.Sta.config ~clock_period:report.Flow.clock_period ()
-      in
-      print_endline (Smt_core.Signoff.render (Smt_core.Signoff.run cfg nl));
-      finish obs
+    let nl, report, art = post_flow circuit technique seed () in
+    Printf.printf "multi-corner sign-off of %s (%s), clock %.1f ps:\n\n" report.Flow.circuit
+      (Flow.technique_name report.Flow.technique)
+      report.Flow.clock_period;
+    print_endline (Smt_core.Signoff.render (Smt_core.Signoff.run art.Flow.art_cfg nl));
+    finish obs
   in
   Cmd.v (Cmd.info "corners" ~doc:"Multi-corner timing & leakage sign-off")
     Term.(const run $ obs_term $ circuit_arg $ technique_arg $ seed_arg)
 
 let stages_cmd =
   let run obs circuit seed bounce length cells =
-    match generator_of circuit with
-    | Error e ->
-      prerr_endline e;
-      exit 2
-    | Ok gen ->
-      let options = options_of seed bounce length cells in
-      let before = Metrics.counters () in
-      let report = Flow.run ~options Flow.Improved_smt (gen (lib ())) in
-      Printf.printf "Improved Selective-MT flow on %s (clock %.1f ps)\n\n"
-        report.Flow.circuit report.Flow.clock_period;
-      (* With --profile, a GC-attribution column block rides the table:
-         words allocated (minor/major) and collections charged per stage. *)
-      let prof_cols =
-        obs.obs_profile
-        && List.exists (fun (s : Flow.stage) -> s.Flow.stage_prof <> None) report.Flow.stages
-      in
-      let header =
-        [
-          "Stage"; "Area um^2"; "Standby nW"; "WNS ps"; "Bounce V"; "Switches"; "Holders";
-          "ms";
-        ]
-        @ (if prof_cols then [ "Minor Mw"; "Major Mw"; "GC min"; "GC maj" ] else [])
-      in
-      let rows =
-        List.map
-          (fun (s : Flow.stage) ->
-            [
-              s.Flow.stage_name;
-              Printf.sprintf "%.1f" s.Flow.stage_area;
-              Printf.sprintf "%.1f" s.Flow.stage_standby_nw;
-              Printf.sprintf "%.1f" s.Flow.stage_wns;
-              Printf.sprintf "%.4f" s.Flow.stage_worst_bounce;
-              string_of_int s.Flow.stage_switches;
-              string_of_int s.Flow.stage_holders;
-              Printf.sprintf "%.1f" s.Flow.stage_ms;
-            ]
-            @
-            if not prof_cols then []
-            else
-              match s.Flow.stage_prof with
-              | None -> [ "-"; "-"; "-"; "-" ]
-              | Some p ->
-                [
-                  Printf.sprintf "%.2f" (p.Prof.minor_words /. 1e6);
-                  Printf.sprintf "%.2f" (p.Prof.major_words /. 1e6);
-                  string_of_int p.Prof.minor_collections;
-                  string_of_int p.Prof.major_collections;
-                ])
-          report.Flow.stages
-      in
-      print_endline (Smt_util.Text_table.render ~header rows);
-      ledger_append obs ~kind:"run" ~circuit ~technique:"improved"
-        [ ledger_workload_of_report ~name:(circuit ^ "/improved") ~before report ];
-      finish obs
+    let gen = generator_of circuit in
+    let options = options_of seed bounce length cells in
+    let before = Metrics.counters () in
+    let report = Flow.run ~options Flow.Improved_smt (gen (lib ())) in
+    Printf.printf "Improved Selective-MT flow on %s (clock %.1f ps)\n\n" report.Flow.circuit
+      report.Flow.clock_period;
+    (* With --profile, a GC-attribution column block rides the table:
+       words allocated (minor/major) and collections charged per stage. *)
+    let prof_cols =
+      obs.obs_profile
+      && List.exists (fun (s : Flow.stage) -> s.Flow.stage_prof <> None) report.Flow.stages
+    in
+    let header =
+      [
+        "Stage"; "Area um^2"; "Standby nW"; "WNS ps"; "Bounce V"; "Switches"; "Holders"; "ms";
+      ]
+      @ (if prof_cols then [ "Minor Mw"; "Major Mw"; "GC min"; "GC maj" ] else [])
+    in
+    let rows =
+      List.map
+        (fun (s : Flow.stage) ->
+          [
+            s.Flow.stage_name;
+            Printf.sprintf "%.1f" s.Flow.stage_area;
+            Printf.sprintf "%.1f" s.Flow.stage_standby_nw;
+            Printf.sprintf "%.1f" s.Flow.stage_wns;
+            Printf.sprintf "%.4f" s.Flow.stage_worst_bounce;
+            string_of_int s.Flow.stage_switches;
+            string_of_int s.Flow.stage_holders;
+            Printf.sprintf "%.1f" s.Flow.stage_ms;
+          ]
+          @
+          if not prof_cols then []
+          else
+            match s.Flow.stage_prof with
+            | None -> [ "-"; "-"; "-"; "-" ]
+            | Some p ->
+              [
+                Printf.sprintf "%.2f" (p.Prof.minor_words /. 1e6);
+                Printf.sprintf "%.2f" (p.Prof.major_words /. 1e6);
+                string_of_int p.Prof.minor_collections;
+                string_of_int p.Prof.major_collections;
+              ])
+        report.Flow.stages
+    in
+    print_endline (Smt_util.Text_table.render ~header rows);
+    ledger_append obs ~kind:"run" ~circuit ~technique:"improved"
+      [ Smt_core.Qor.ledger_workload ~name:(circuit ^ "/improved") ~before report ];
+    finish obs
   in
   Cmd.v (Cmd.info "stages" ~doc:"Show per-stage metrics of the improved flow (the paper's Fig. 4)")
     Term.(const run $ obs_term $ circuit_arg $ seed_arg $ bounce_arg $ length_arg $ cells_arg)
@@ -407,7 +380,7 @@ let table1_cmd =
   let run obs seed jobs json =
     let jobs = jobs_of jobs in
     let l = lib () in
-    let options = { Flow.default_options with Flow.seed } in
+    let options = seeded seed in
     let rows =
       [
         Smt_core.Compare.table1_row ~options ~jobs (fun () -> Suite.circuit_a l);
@@ -416,9 +389,7 @@ let table1_cmd =
     in
     (match json with
     | Some path ->
-      let oc = open_out path in
-      output_string oc (Smt_core.Report_json.of_rows rows);
-      close_out oc;
+      J.to_file path (Smt_core.Report_json.of_rows rows);
       Printf.eprintf "table written to %s\n%!" path
     | None -> ());
     print_endline (Smt_core.Compare.render rows);
@@ -435,53 +406,33 @@ let table1_cmd =
 
 let report_cmd =
   let run obs circuit technique seed =
-    match (generator_of circuit, technique_of technique) with
-    | Error e, _ | _, Error e ->
-      prerr_endline e;
-      exit 2
-    | Ok gen, Ok t ->
-      let options = { Flow.default_options with Flow.seed } in
-      let nl = gen (lib ()) in
-      let r = Flow.run ~options t nl in
-      let cfg = Smt_sta.Sta.config ~clock_period:r.Flow.clock_period () in
-      let sta = Smt_sta.Sta.analyze cfg nl in
-      print_endline (Smt_core.Report.summary sta);
-      print_newline ();
-      print_endline (Smt_core.Report.timing ~paths:2 sta);
-      print_endline (Smt_core.Report.power nl);
-      print_newline ();
-      print_endline (Smt_core.Report.area nl);
-      finish obs
+    let nl, report, art = post_flow circuit technique seed () in
+    print_endline (Smt_core.Report.summary art.Flow.art_sta);
+    print_newline ();
+    print_endline (Smt_core.Explain.paths ~k:2 report art);
+    print_newline ();
+    print_endline (Smt_core.Report.power nl);
+    print_newline ();
+    print_endline (Smt_core.Report.area nl);
+    finish obs
   in
   Cmd.v (Cmd.info "report" ~doc:"Sign-off style timing / power / area reports")
     Term.(const run $ obs_term $ circuit_arg $ technique_arg $ seed_arg)
 
 let explain_cmd =
   let run obs what circuit technique seed k json =
-    match (generator_of circuit, technique_of technique) with
-    | Error e, _ | _, Error e ->
-      prerr_endline e;
-      exit 2
-    | Ok gen, Ok t ->
-      let options = { Flow.default_options with Flow.seed } in
-      let report, artifacts = Flow.run_with_artifacts ~options t (gen (lib ())) in
-      let out =
-        match what with
-        | "paths" ->
-          if json then Smt_core.Explain.paths_json ~k report artifacts
-          else Smt_core.Explain.paths ~k report artifacts
-        | "leakage" ->
-          if json then Smt_core.Explain.leakage_json report artifacts
-          else Smt_core.Explain.leakage report artifacts
-        | "clusters" ->
-          if json then Smt_core.Explain.clusters_json report artifacts
-          else Smt_core.Explain.clusters report artifacts
-        | s ->
-          Printf.eprintf "unknown report %s (paths|leakage|clusters)\n" s;
-          exit 2
-      in
-      print_endline out;
-      finish obs
+    let flow = post_flow circuit technique seed in
+    let module E = Smt_core.Explain in
+    let render =
+      match what with
+      | "paths" -> if json then E.paths_json ~k else E.paths ~k
+      | "leakage" -> if json then E.leakage_json else E.leakage
+      | "clusters" -> if json then E.clusters_json else E.clusters
+      | s -> die "unknown report %s (paths|leakage|clusters)" s
+    in
+    let _, report, art = flow () in
+    print_endline (render report art);
+    finish obs
   in
   let what_arg =
     Arg.(
@@ -538,11 +489,7 @@ let bench_snapshot_cmd =
 let bench_compare_cmd =
   let run obs baseline current seed jobs =
     let read_or_die path =
-      match Smt_obs.Snapshot.read path with
-      | Ok s -> s
-      | Error e ->
-        Printf.eprintf "cannot read snapshot %s: %s\n" path e;
-        exit 2
+      or_die ~ctx:(Printf.sprintf "cannot read snapshot %s: %s" path) (Smt_obs.Snapshot.read path)
     in
     let baseline = read_or_die baseline in
     let current =
@@ -584,52 +531,35 @@ let list_cmd =
 
 let check_cmd =
   let run obs circuit technique seed fault fault_seed do_repair =
-    match generator_of circuit with
-    | Error e ->
-      prerr_endline e;
-      exit 2
-    | Ok gen ->
-      let l = lib () in
-      let nl = gen l in
-      (* With a technique, check the flow's product; without, the raw
-         synthesized netlist. *)
-      (match technique with
-      | None -> ()
-      | Some t -> (
-        match technique_of t with
-        | Error e ->
-          prerr_endline e;
-          exit 2
-        | Ok t ->
-          let options = { Flow.default_options with Flow.seed } in
-          ignore (Flow.run ~options t nl)));
-      (match fault with
-      | None -> ()
-      | Some fname -> (
-        match Fault.of_name fname with
-        | None ->
-          Printf.eprintf "unknown fault %s (try: %s)\n" fname
-            (String.concat ", " (List.map Fault.name Fault.all));
-          exit 2
-        | Some f -> (
-          match Fault.inject ~seed:fault_seed nl f with
-          | Some inj ->
-            Printf.printf "injected %s at %s: %s\n" (Fault.name f) inj.Fault.target
-              inj.Fault.detail
-          | None -> Printf.printf "fault %s: no applicable site in %s\n" fname circuit)));
-      let vs = Drc.check_library l @ Drc.check nl in
-      let vs =
-        if do_repair && vs <> [] then begin
-          let r = Repair.repair nl vs in
-          List.iter (fun a -> Printf.printf "repaired: %s\n" a) r.Repair.actions;
-          Drc.check_library l @ Drc.check nl
-        end
-        else vs
-      in
-      List.iter (fun v -> print_endline (Violation.to_string v)) vs;
-      print_endline (Violation.summary vs);
-      finish obs;
-      if Drc.has_errors vs then exit 1
+    let gen = generator_of circuit in
+    let technique = Option.map technique_of technique in
+    let fault = Option.map fault_of fault in
+    let l = lib () in
+    let nl = gen l in
+    (* With a technique, check the flow's product; without, the raw
+       synthesized netlist. *)
+    Option.iter (fun t -> ignore (Flow.run ~options:(seeded seed) t nl)) technique;
+    Option.iter
+      (fun f ->
+        match Fault.inject ~seed:fault_seed nl f with
+        | Some inj ->
+          Printf.printf "injected %s at %s: %s\n" (Fault.name f) inj.Fault.target
+            inj.Fault.detail
+        | None -> Printf.printf "fault %s: no applicable site in %s\n" (Fault.name f) circuit)
+      fault;
+    let vs = Drc.check_library l @ Drc.check nl in
+    let vs =
+      if do_repair && vs <> [] then begin
+        let r = Repair.repair nl vs in
+        List.iter (fun a -> Printf.printf "repaired: %s\n" a) r.Repair.actions;
+        Drc.check_library l @ Drc.check nl
+      end
+      else vs
+    in
+    List.iter (fun v -> print_endline (Violation.to_string v)) vs;
+    print_endline (Violation.summary vs);
+    finish obs;
+    if Drc.has_errors vs then exit 1
   in
   let technique_opt_arg =
     Arg.(
@@ -662,46 +592,37 @@ let check_cmd =
       const run $ obs_term $ circuit_arg $ technique_opt_arg $ seed_arg $ fault_arg
       $ fault_seed_arg $ repair_arg)
 
-(* Today's UTC date for waiver expiry, honouring SMT_CLOCK (unix seconds)
-   like every other wall-clock read in the tool. *)
+(* Today's UTC date for waiver expiry, on the tool's one injectable clock
+   (SMT_CLOCK, unix seconds). *)
 let today_utc () =
-  let now =
-    match Sys.getenv_opt "SMT_CLOCK" with
-    | Some s -> ( try float_of_string (String.trim s) with _ -> Unix.gettimeofday ())
-    | None -> Unix.gettimeofday ()
-  in
-  let tm = Unix.gmtime now in
+  let tm = Unix.gmtime (Ledger.clock ()) in
   (tm.Unix.tm_year + 1900, tm.Unix.tm_mon + 1, tm.Unix.tm_mday)
 
 (* Fingerprints of a previous SARIF report: (ruleId, first logical
    location).  Message text and witness stay out of the key so a reworded
    diagnostic doesn't resurrect an accepted finding. *)
 let load_baseline path =
-  match J.of_file path with
-  | Error e ->
-    Printf.eprintf "baseline: %s\n" e;
-    exit 2
-  | Ok doc ->
-    let tbl = Hashtbl.create 64 in
-    let arr_of = function Some (J.Arr xs) -> xs | _ -> [] in
-    let str_of j = Option.value ~default:"" (Option.bind j J.to_str) in
-    List.iter
-      (fun run ->
-        List.iter
-          (fun r ->
-            let rule = str_of (J.member "ruleId" r) in
-            let fqn =
-              match arr_of (J.member "locations" r) with
-              | loc :: _ -> (
-                match arr_of (J.member "logicalLocations" loc) with
-                | ll :: _ -> str_of (J.member "fullyQualifiedName" ll)
-                | [] -> "")
-              | [] -> ""
-            in
-            if rule <> "" then Hashtbl.replace tbl (rule, fqn) ())
-          (arr_of (J.member "results" run)))
-      (arr_of (J.member "runs" doc));
-    tbl
+  let doc = or_die ~ctx:(Printf.sprintf "baseline: %s") (J.of_file path) in
+  let tbl = Hashtbl.create 64 in
+  let arr_of = function Some (J.Arr xs) -> xs | _ -> [] in
+  let str_of j = Option.value ~default:"" (Option.bind j J.to_str) in
+  List.iter
+    (fun run ->
+      List.iter
+        (fun r ->
+          let rule = str_of (J.member "ruleId" r) in
+          let fqn =
+            match arr_of (J.member "locations" r) with
+            | loc :: _ -> (
+              match arr_of (J.member "logicalLocations" loc) with
+              | ll :: _ -> str_of (J.member "fullyQualifiedName" ll)
+              | [] -> "")
+            | [] -> ""
+          in
+          if rule <> "" then Hashtbl.replace tbl (rule, fqn) ())
+        (arr_of (J.member "results" run)))
+    (arr_of (J.member "runs" doc));
+  tbl
 
 (* One randomized ECO delta for the --incremental self-test: a gate swap,
    a keeper deletion, or a keeper-enable rewire — the edit classes the
@@ -790,63 +711,32 @@ let lint_cmd =
       incremental fault fault_seed =
     let jobs = jobs_of jobs in
     let circuits = match circuits with [] -> List.map fst Suite.all | cs -> cs in
-    let gens =
-      List.map
-        (fun name ->
-          match generator_of name with
-          | Ok g -> (name, g)
-          | Error e ->
-            prerr_endline e;
-            exit 2)
-        circuits
-    in
-    let t =
-      match technique_of technique with
-      | Ok t -> t
-      | Error e ->
-        prerr_endline e;
-        exit 2
-    in
+    let gens = List.map (fun name -> (name, generator_of name)) circuits in
+    let t = technique_of technique in
     (match format with
     | "text" | "json" | "sarif" -> ()
-    | s ->
-      Printf.eprintf "unknown format %s (text|json|sarif)\n" s;
-      exit 2);
+    | s -> die "unknown format %s (text|json|sarif)" s);
     let today = today_utc () in
     let wv =
       match waivers with
       | None -> []
-      | Some path -> (
-        match Waiver.load path with
-        | Ok w ->
-          List.iter
-            (fun (e : Waiver.entry) ->
-              match e.Waiver.w_expires with
-              | Some (y, m, d) when Waiver.expired ~today e ->
-                Printf.eprintf
-                  "waivers: line %d (%s %s) expired %04d-%02d-%02d; finding no \
-                   longer suppressed\n\
-                   %!"
-                  e.Waiver.w_line e.Waiver.w_rule e.Waiver.w_loc y m d
-              | _ -> ())
-            w;
-          w
-        | Error e ->
-          Printf.eprintf "waivers: %s\n" e;
-          exit 2)
+      | Some path ->
+        let w = or_die ~ctx:(Printf.sprintf "waivers: %s") (Waiver.load path) in
+        List.iter
+          (fun (e : Waiver.entry) ->
+            match e.Waiver.w_expires with
+            | Some (y, m, d) when Waiver.expired ~today e ->
+              Printf.eprintf
+                "waivers: line %d (%s %s) expired %04d-%02d-%02d; finding no \
+                 longer suppressed\n\
+                 %!"
+                e.Waiver.w_line e.Waiver.w_rule e.Waiver.w_loc y m d
+            | _ -> ())
+          w;
+        w
     in
     let baseline_keys = Option.map load_baseline baseline in
-    let fault =
-      match fault with
-      | None -> None
-      | Some fname -> (
-        match Fault.of_name fname with
-        | Some f -> Some f
-        | None ->
-          Printf.eprintf "unknown fault %s (try: %s)\n" fname
-            (String.concat ", " (List.map Fault.name Fault.all));
-          exit 2)
-    in
+    let fault = Option.map fault_of fault in
     if incremental > 0 then begin
       incremental_selftest ~seed ~deltas:incremental gens;
       finish obs;
@@ -866,7 +756,7 @@ let lint_cmd =
     let process (name, gen) =
       let nl = gen (lib ()) in
       if not (raw_for name) then
-        ignore (Flow.run ~options:{ Flow.default_options with Flow.seed } t nl);
+        ignore (Flow.run ~options:(seeded seed) t nl);
       let inj =
         match fault with
         | None -> None
@@ -1098,27 +988,11 @@ let campaign_out_of dir = function
    however the user spelled them ("imp" -> "improved"). *)
 let campaign_matrix circuits techniques guards seeds =
   let circuits = match circuits with [] -> List.map fst Suite.all | cs -> cs in
-  List.iter
-    (fun c ->
-      match generator_of c with
-      | Ok _ -> ()
-      | Error e ->
-        prerr_endline e;
-        exit 2)
-    circuits;
+  List.iter (fun c -> let _gen = generator_of c in ()) circuits;
   let techniques =
     match techniques with [] -> [ "dual"; "conventional"; "improved" ] | ts -> ts
   in
-  let techniques =
-    List.map
-      (fun s ->
-        match technique_of s with
-        | Ok t -> Smt_core.Qor.technique_slug t
-        | Error e ->
-          prerr_endline e;
-          exit 2)
-      techniques
-  in
+  let techniques = List.map (fun s -> Smt_core.Qor.technique_slug (technique_of s)) techniques in
   let guards = match guards with [] -> [ "off" ] | gs -> gs in
   let guards = List.map (fun s -> Flow.guard_name (guard_of s)) guards in
   let seeds = match seeds with [] -> [ 1 ] | ss -> ss in
@@ -1187,22 +1061,10 @@ let chaos_delay_arg =
 let campaign_config jobs timeout stall_timeout max_attempts retry_base retry_cap chaos
     chaos_seed chaos_delay =
   let jobs = jobs_of jobs in
-  if timeout <= 0. then begin
-    prerr_endline "--timeout must be positive";
-    exit 2
-  end;
-  if stall_timeout < 0. then begin
-    prerr_endline "--stall-timeout must be >= 0";
-    exit 2
-  end;
-  if max_attempts < 1 then begin
-    prerr_endline "--max-attempts must be >= 1";
-    exit 2
-  end;
-  if chaos < 0. || chaos > 1. then begin
-    prerr_endline "--chaos must be a probability in [0, 1]";
-    exit 2
-  end;
+  if timeout <= 0. then die "--timeout must be positive";
+  if stall_timeout < 0. then die "--stall-timeout must be >= 0";
+  if max_attempts < 1 then die "--max-attempts must be >= 1";
+  if chaos < 0. || chaos > 1. then die "--chaos must be a probability in [0, 1]";
   {
     Csup.default_config with
     Csup.sv_jobs = jobs;
@@ -1215,208 +1077,6 @@ let campaign_config jobs timeout stall_timeout max_attempts retry_base retry_cap
     Csup.sv_chaos_delay_ms = chaos_delay;
     Csup.sv_seed = chaos_seed;
   }
-
-(* Supervise every not-yet-done matrix job of [man], persist the
-   quarantine list, merge, and exit under the campaign contract:
-   0 complete, 1 partial (quarantined or missing jobs), 2 infrastructure
-   failure. *)
-let campaign_supervise obs ~dir ~out cfg (man : Cman.t) =
-  let jobs = Cman.jobs man in
-  let byid = List.map (fun j -> (Cjob.id j, j)) jobs in
-  let done_ids =
-    match Ckpt.scan dir with
-    | Error e ->
-      Printf.eprintf "campaign: %s\n" e;
-      exit 2
-    | Ok { Ckpt.sc_checkpoints; _ } ->
-      List.filter_map
-        (fun (id, (cp : Ckpt.t)) ->
-          if cp.Ckpt.cp_status = Ckpt.Done then Some id else None)
-        sc_checkpoints
-  in
-  let todo = List.filter (fun j -> not (List.mem (Cjob.id j) done_ids)) jobs in
-  Printf.printf "campaign %s: %d jobs, %d already complete, %d to run on %d shards\n%!"
-    man.Cman.m_tag (List.length jobs) (List.length done_ids) (List.length todo)
-    cfg.Csup.sv_jobs;
-  let exe =
-    if Filename.is_relative Sys.executable_name then
-      Filename.concat (Unix.getcwd ()) Sys.executable_name
-    else Sys.executable_name
-  in
-  (* Cross-process telemetry: when the supervisor was asked for any
-     observability output, workers record their own spans/metrics/prof
-     and leave a sidecar next to the checkpoint; the supervisor absorbs
-     each sidecar onto the shard's stable tid (2 + matrix slot — a pure
-     function of the manifest, so retries and resumes land on the same
-     trace row).  Dedup by (job, attempt): retries overwrite the sidecar
-     and resumes re-see old ones, but nothing is double-counted. *)
-  let telemetry = obs.obs_trace <> None || obs.obs_metrics <> None || obs.obs_profile in
-  let slots = Cman.slots man in
-  let tid_of id = 2 + (match List.assoc_opt id slots with Some i -> i | None -> 0) in
-  let absorbed : (string * int, unit) Hashtbl.t = Hashtbl.create 17 in
-  let absorb_sidecar id =
-    match Ctele.load (Ctele.path ~dir id) with
-    | Error _ -> () (* absent or torn: telemetry is an overlay, never fatal *)
-    | Ok t ->
-      let key = (id, t.Ctele.tl_attempt) in
-      if not (Hashtbl.mem absorbed key) then begin
-        Hashtbl.add absorbed key ();
-        Ctele.absorb ~tid:(tid_of id) t
-      end
-  in
-  (* A resumed campaign's unified trace covers the already-done shards
-     too — their sidecars are still on disk. *)
-  if telemetry then List.iter absorb_sidecar done_ids;
-  let command ~id ~attempt =
-    let j = List.assoc id byid in
-    Array.append
-      [|
-        exe; "campaign"; "worker"; "--dir"; dir; "--circuit"; j.Cjob.jb_circuit;
-        "--technique"; j.Cjob.jb_technique; "--guard"; j.Cjob.jb_guard; "--seed";
-        string_of_int j.Cjob.jb_seed; "--attempt"; string_of_int attempt;
-      |]
-      (if telemetry then [| "--telemetry" |] else [||])
-  in
-  let verify id =
-    let j = List.assoc id byid in
-    match Ckpt.load (Ckpt.path ~dir j) with
-    | Ok { Ckpt.cp_status = Ckpt.Done; _ } -> Ok ()
-    | Ok { Ckpt.cp_status = Ckpt.Failed e; _ } ->
-      Error ("checkpoint records failure: " ^ e)
-    | Error e -> Error ("no valid checkpoint: " ^ e)
-  in
-  let log_path id = Filename.concat dir (id ^ ".log") in
-  let hb_path id = Cheart.path ~dir id in
-  let on_exit ~id ~attempt:_ = if telemetry then absorb_sidecar id in
-  let summary =
-    Csup.run cfg ~command ~verify ~log_path ~hb_path ~on_exit (List.map Cjob.id todo)
-  in
-  (* Persist the quarantine list: status/resume/merge must see terminal
-     failures without re-supervising (a later resume grants a fresh
-     attempt budget by re-running every failed checkpoint). *)
-  List.iter
-    (fun (id, attempts, err) ->
-      Ckpt.write ~dir
-        {
-          Ckpt.cp_version = Ckpt.schema_version;
-          cp_job = List.assoc id byid;
-          cp_status = Ckpt.Failed err;
-          cp_attempt = attempts;
-          cp_time = Ledger.clock ();
-          cp_duration_s = 0.;
-          cp_workload = None;
-          cp_prof = [];
-        })
-    (Csup.quarantined summary);
-  match Cmerge.of_dir dir with
-  | Error e ->
-    Printf.eprintf "campaign: %s\n" e;
-    exit 2
-  | Ok m ->
-    Smt_obs.Snapshot.write out m.Cmerge.mg_snapshot;
-    print_endline (Cmerge.render_status m);
-    Printf.printf
-      "retries %d, chaos kills %d, timeouts %d, stalls %d; merged snapshot (%d \
-       workloads) written to %s\n"
-      summary.Csup.sm_retries summary.Csup.sm_chaos_kills summary.Csup.sm_timeouts
-      summary.Csup.sm_stalls m.Cmerge.mg_done out;
-    let only = function [ x ] -> x | _ -> "-" in
-    ledger_append obs ~kind:"campaign" ~tag:man.Cman.m_tag
-      ~circuit:(only man.Cman.m_circuits) ~technique:(only man.Cman.m_techniques)
-      ~guard:(only man.Cman.m_guards) ~jobs:cfg.Csup.sv_jobs (Cmerge.workloads m);
-    finish obs;
-    exit (if Cmerge.complete m then 0 else 1)
-
-let campaign_run_cmd =
-  let run obs dir circuits techniques guards seeds jobs timeout stall_timeout
-      max_attempts retry_base retry_cap chaos chaos_seed chaos_delay tag out =
-    let circuits, techniques, guards, seeds =
-      campaign_matrix circuits techniques guards seeds
-    in
-    let cfg =
-      campaign_config jobs timeout stall_timeout max_attempts retry_base retry_cap
-        chaos chaos_seed chaos_delay
-    in
-    mkdir_p dir;
-    if Sys.file_exists (Cman.path dir) then begin
-      Printf.eprintf
-        "campaign: %s is already initialized; use `smt_flow campaign resume --dir %s`\n"
-        dir dir;
-      exit 2
-    end;
-    let man = Cman.make ~tag ~circuits ~techniques ~guards ~seeds in
-    Cman.write dir man;
-    campaign_supervise obs ~dir ~out:(campaign_out_of dir out) cfg man
-  in
-  let circuits_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "c"; "circuit" ] ~docv:"NAME"
-          ~doc:"Circuit axis of the matrix (repeatable; default: every suite circuit).")
-  in
-  let techniques_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "t"; "technique" ] ~docv:"T"
-          ~doc:"Technique axis (repeatable; default: dual, conventional, improved).")
-  in
-  let guards_arg =
-    Arg.(
-      value & opt_all string []
-      & info [ "guard" ] ~docv:"MODE" ~doc:"Guard axis (repeatable; default: off).")
-  in
-  let seeds_arg =
-    Arg.(
-      value & opt_all int []
-      & info [ "seed" ] ~docv:"N" ~doc:"Flow-seed axis (repeatable; default: 1).")
-  in
-  let tag_arg =
-    Arg.(
-      value & opt string "campaign"
-      & info [ "tag" ] ~doc:"Tag of the merged snapshot (recorded in the manifest).")
-  in
-  Cmd.v
-    (Cmd.info "run"
-       ~doc:
-         "Expand the (circuit x technique x guard x seed) matrix into jobs, shard \
-          them across worker OS processes with per-shard supervision (timeout, retry \
-          with exponential backoff, quarantine after $(b,--max-attempts)), persist \
-          one atomic checkpoint per job, and merge the results into one \
-          byte-deterministic snapshot.  Exit 0 when every job completed, 1 when the \
-          campaign finished partial (quarantined jobs), 2 on infrastructure failure.")
-    Term.(
-      const run $ obs_term $ campaign_dir_arg $ circuits_arg $ techniques_arg
-      $ guards_arg $ seeds_arg $ jobs_arg $ timeout_arg $ stall_timeout_arg
-      $ max_attempts_arg $ retry_base_arg $ retry_cap_arg $ chaos_arg $ chaos_seed_arg
-      $ chaos_delay_arg $ tag_arg $ campaign_out_arg)
-
-let campaign_resume_cmd =
-  let run obs dir jobs timeout stall_timeout max_attempts retry_base retry_cap chaos
-      chaos_seed chaos_delay out =
-    match Cman.load dir with
-    | Error e ->
-      Printf.eprintf "campaign: %s (is %s a campaign directory?)\n" e dir;
-      exit 2
-    | Ok man ->
-      Metrics.incr (Metrics.counter "campaign.resumes");
-      let cfg =
-        campaign_config jobs timeout stall_timeout max_attempts retry_base retry_cap
-          chaos chaos_seed chaos_delay
-      in
-      campaign_supervise obs ~dir ~out:(campaign_out_of dir out) cfg man
-  in
-  Cmd.v
-    (Cmd.info "resume"
-       ~doc:
-         "Re-scan the checkpoint directory and finish an interrupted or partial \
-          campaign: completed jobs are skipped, failed / quarantined / in-flight ones \
-          re-run with a fresh attempt budget.  The matrix comes from the manifest, \
-          so resume cycles cannot drift; the merged snapshot is byte-identical to an \
-          uninterrupted run's.  Same exit contract as $(b,run).")
-    Term.(
-      const run $ obs_term $ campaign_dir_arg $ jobs_arg $ timeout_arg
-      $ stall_timeout_arg $ max_attempts_arg $ retry_base_arg $ retry_cap_arg
-      $ chaos_arg $ chaos_seed_arg $ chaos_delay_arg $ campaign_out_arg)
 
 (* --- live campaign status: checkpoints + heartbeats, no supervisor --- *)
 
@@ -1562,6 +1222,214 @@ let campaign_status_text (m : Cmerge.t) rows =
   in
   Smt_util.Text_table.render ~header table ^ "\n" ^ progress ^ eta_line
 
+let load_campaign dir = or_die ~ctx:(Printf.sprintf "campaign: %s") (Cmerge.of_dir dir)
+
+(* The one view of a campaign's state, as a table or as JSON: what
+   status prints, and what run, resume and merge print when they end. *)
+let campaign_status ~json dir m =
+  let rows = campaign_rows dir m in
+  if json then campaign_status_json m rows else campaign_status_text m rows
+
+(* Merge the checkpoints into the snapshot at [out] and print the status
+   view. *)
+let campaign_merge ~dir ~out =
+  let m = load_campaign dir in
+  Smt_obs.Snapshot.write out m.Cmerge.mg_snapshot;
+  print_endline (campaign_status ~json:false dir m);
+  m
+
+(* One checkpoint envelope per job outcome — done, failed or quarantined;
+   a done job carries its workload and GC attribution. *)
+let write_checkpoint ~dir ~job ~attempt ?(duration_s = 0.) ?workload status =
+  Ckpt.write ~dir
+    {
+      Ckpt.cp_version = Ckpt.schema_version;
+      cp_job = job;
+      cp_status = status;
+      cp_attempt = attempt;
+      cp_time = Ledger.clock ();
+      cp_duration_s = duration_s;
+      cp_workload = Option.map (fun lw -> lw.Ledger.lw_workload) workload;
+      cp_prof = (match workload with Some lw -> lw.Ledger.lw_prof | None -> []);
+    }
+
+(* Supervise every not-yet-done matrix job of [man], persist the
+   quarantine list, merge, and exit under the campaign contract:
+   0 complete, 1 partial (quarantined or missing jobs), 2 infrastructure
+   failure. *)
+let campaign_supervise obs ~dir ~out cfg (man : Cman.t) =
+  let jobs = Cman.jobs man in
+  let byid = List.map (fun j -> (Cjob.id j, j)) jobs in
+  let done_ids =
+    List.filter_map
+      (fun (id, (cp : Ckpt.t)) -> if cp.Ckpt.cp_status = Ckpt.Done then Some id else None)
+      (or_die ~ctx:(Printf.sprintf "campaign: %s") (Ckpt.scan dir)).Ckpt.sc_checkpoints
+  in
+  let todo = List.filter (fun j -> not (List.mem (Cjob.id j) done_ids)) jobs in
+  Printf.printf "campaign %s: %d jobs, %d already complete, %d to run on %d shards\n%!"
+    man.Cman.m_tag (List.length jobs) (List.length done_ids) (List.length todo)
+    cfg.Csup.sv_jobs;
+  let exe =
+    if Filename.is_relative Sys.executable_name then
+      Filename.concat (Unix.getcwd ()) Sys.executable_name
+    else Sys.executable_name
+  in
+  (* Cross-process telemetry: when the supervisor was asked for any
+     observability output, workers record their own spans/metrics/prof
+     and leave a sidecar next to the checkpoint; the supervisor absorbs
+     each sidecar onto the shard's stable tid (2 + matrix slot — a pure
+     function of the manifest, so retries and resumes land on the same
+     trace row).  Dedup by (job, attempt): retries overwrite the sidecar
+     and resumes re-see old ones, but nothing is double-counted. *)
+  let telemetry = obs.obs_trace <> None || obs.obs_metrics <> None || obs.obs_profile in
+  let slots = Cman.slots man in
+  let tid_of id = 2 + (match List.assoc_opt id slots with Some i -> i | None -> 0) in
+  let absorbed : (string * int, unit) Hashtbl.t = Hashtbl.create 17 in
+  let absorb_sidecar id =
+    match Ctele.load (Ctele.path ~dir id) with
+    | Error _ -> () (* absent or torn: telemetry is an overlay, never fatal *)
+    | Ok t ->
+      let key = (id, t.Ctele.tl_attempt) in
+      if not (Hashtbl.mem absorbed key) then begin
+        Hashtbl.add absorbed key ();
+        Ctele.absorb ~tid:(tid_of id) t
+      end
+  in
+  (* A resumed campaign's unified trace covers the already-done shards
+     too — their sidecars are still on disk. *)
+  if telemetry then List.iter absorb_sidecar done_ids;
+  let command ~id ~attempt =
+    let j = List.assoc id byid in
+    Array.append
+      [|
+        exe; "campaign"; "worker"; "--dir"; dir; "--circuit"; j.Cjob.jb_circuit;
+        "--technique"; j.Cjob.jb_technique; "--guard"; j.Cjob.jb_guard; "--seed";
+        string_of_int j.Cjob.jb_seed; "--attempt"; string_of_int attempt;
+      |]
+      (if telemetry then [| "--telemetry" |] else [||])
+  in
+  let verify id =
+    let j = List.assoc id byid in
+    match Ckpt.load (Ckpt.path ~dir j) with
+    | Ok { Ckpt.cp_status = Ckpt.Done; _ } -> Ok ()
+    | Ok { Ckpt.cp_status = Ckpt.Failed e; _ } ->
+      Error ("checkpoint records failure: " ^ e)
+    | Error e -> Error ("no valid checkpoint: " ^ e)
+  in
+  let log_path id = Filename.concat dir (id ^ ".log") in
+  let hb_path id = Cheart.path ~dir id in
+  let on_exit ~id ~attempt:_ = if telemetry then absorb_sidecar id in
+  let summary =
+    Csup.run cfg ~command ~verify ~log_path ~hb_path ~on_exit (List.map Cjob.id todo)
+  in
+  (* Persist the quarantine list: status/resume/merge must see terminal
+     failures without re-supervising (a later resume grants a fresh
+     attempt budget by re-running every failed checkpoint). *)
+  List.iter
+    (fun (id, attempt, err) ->
+      write_checkpoint ~dir ~job:(List.assoc id byid) ~attempt (Ckpt.Failed err))
+    (Csup.quarantined summary);
+  let m = campaign_merge ~dir ~out in
+  Printf.printf
+    "retries %d, chaos kills %d, timeouts %d, stalls %d; merged snapshot (%d workloads) \
+     written to %s\n"
+    summary.Csup.sm_retries summary.Csup.sm_chaos_kills summary.Csup.sm_timeouts
+    summary.Csup.sm_stalls m.Cmerge.mg_done out;
+  let only = function [ x ] -> x | _ -> "-" in
+  ledger_append obs ~kind:"campaign" ~tag:man.Cman.m_tag ~circuit:(only man.Cman.m_circuits)
+    ~technique:(only man.Cman.m_techniques) ~guard:(only man.Cman.m_guards)
+    ~jobs:cfg.Csup.sv_jobs (Cmerge.workloads m);
+  finish obs;
+  exit (if Cmerge.complete m then 0 else 1)
+
+let campaign_run_cmd =
+  let run obs dir circuits techniques guards seeds jobs timeout stall_timeout
+      max_attempts retry_base retry_cap chaos chaos_seed chaos_delay tag out =
+    let circuits, techniques, guards, seeds =
+      campaign_matrix circuits techniques guards seeds
+    in
+    let cfg =
+      campaign_config jobs timeout stall_timeout max_attempts retry_base retry_cap
+        chaos chaos_seed chaos_delay
+    in
+    mkdir_p dir;
+    if Sys.file_exists (Cman.path dir) then
+      die "campaign: %s is already initialized; use `smt_flow campaign resume --dir %s`" dir
+        dir;
+    let man = Cman.make ~tag ~circuits ~techniques ~guards ~seeds in
+    Cman.write dir man;
+    campaign_supervise obs ~dir ~out:(campaign_out_of dir out) cfg man
+  in
+  let circuits_arg =
+    Arg.(
+      value & opt_all string []
+      & info [ "c"; "circuit" ] ~docv:"NAME"
+          ~doc:"Circuit axis of the matrix (repeatable; default: every suite circuit).")
+  in
+  let techniques_arg =
+    Arg.(
+      value & opt_all string []
+      & info [ "t"; "technique" ] ~docv:"T"
+          ~doc:"Technique axis (repeatable; default: dual, conventional, improved).")
+  in
+  let guards_arg =
+    Arg.(
+      value & opt_all string []
+      & info [ "guard" ] ~docv:"MODE" ~doc:"Guard axis (repeatable; default: off).")
+  in
+  let seeds_arg =
+    Arg.(
+      value & opt_all int []
+      & info [ "seed" ] ~docv:"N" ~doc:"Flow-seed axis (repeatable; default: 1).")
+  in
+  let tag_arg =
+    Arg.(
+      value & opt string "campaign"
+      & info [ "tag" ] ~doc:"Tag of the merged snapshot (recorded in the manifest).")
+  in
+  Cmd.v
+    (Cmd.info "run"
+       ~doc:
+         "Expand the (circuit x technique x guard x seed) matrix into jobs, shard \
+          them across worker OS processes with per-shard supervision (timeout, retry \
+          with exponential backoff, quarantine after $(b,--max-attempts)), persist \
+          one atomic checkpoint per job, and merge the results into one \
+          byte-deterministic snapshot.  Exit 0 when every job completed, 1 when the \
+          campaign finished partial (quarantined jobs), 2 on infrastructure failure.")
+    Term.(
+      const run $ obs_term $ campaign_dir_arg $ circuits_arg $ techniques_arg
+      $ guards_arg $ seeds_arg $ jobs_arg $ timeout_arg $ stall_timeout_arg
+      $ max_attempts_arg $ retry_base_arg $ retry_cap_arg $ chaos_arg $ chaos_seed_arg
+      $ chaos_delay_arg $ tag_arg $ campaign_out_arg)
+
+let campaign_resume_cmd =
+  let run obs dir jobs timeout stall_timeout max_attempts retry_base retry_cap chaos
+      chaos_seed chaos_delay out =
+    let man =
+      or_die
+        ~ctx:(fun e -> Printf.sprintf "campaign: %s (is %s a campaign directory?)" e dir)
+        (Cman.load dir)
+    in
+    Metrics.incr (Metrics.counter "campaign.resumes");
+    let cfg =
+      campaign_config jobs timeout stall_timeout max_attempts retry_base retry_cap chaos
+        chaos_seed chaos_delay
+    in
+    campaign_supervise obs ~dir ~out:(campaign_out_of dir out) cfg man
+  in
+  Cmd.v
+    (Cmd.info "resume"
+       ~doc:
+         "Re-scan the checkpoint directory and finish an interrupted or partial \
+          campaign: completed jobs are skipped, failed / quarantined / in-flight ones \
+          re-run with a fresh attempt budget.  The matrix comes from the manifest, \
+          so resume cycles cannot drift; the merged snapshot is byte-identical to an \
+          uninterrupted run's.  Same exit contract as $(b,run).")
+    Term.(
+      const run $ obs_term $ campaign_dir_arg $ jobs_arg $ timeout_arg
+      $ stall_timeout_arg $ max_attempts_arg $ retry_base_arg $ retry_cap_arg
+      $ chaos_arg $ chaos_seed_arg $ chaos_delay_arg $ campaign_out_arg)
+
 let campaign_interval_arg =
   Arg.(
     value & opt float 1.0
@@ -1575,42 +1443,6 @@ let campaign_json_arg =
           "Machine-readable status: one JSON object (per refresh under \
            $(b,--follow)) with per-job state, stage, and the ETA estimate.")
 
-let campaign_status_run ~follow dir json interval =
-  let interval = Float.max 0.1 interval in
-  let render () =
-    match Cmerge.of_dir dir with
-    | Error e ->
-      Printf.eprintf "campaign: %s\n" e;
-      exit 2
-    | Ok m ->
-      let rows = campaign_rows dir m in
-      if json then print_endline (campaign_status_json m rows)
-      else begin
-        (* In-place refresh: home the cursor and clear below, so a follow
-           session reads like a dashboard rather than a scroll. *)
-        if follow then print_string "\027[H\027[2J";
-        print_endline (campaign_status_text m rows)
-      end;
-      flush stdout;
-      m
-  in
-  if not follow then begin
-    let m = render () in
-    exit (if Cmerge.complete m then 0 else 1)
-  end
-  else begin
-    let rec loop () =
-      let m = render () in
-      if m.Cmerge.mg_done + m.Cmerge.mg_failed >= List.length m.Cmerge.mg_states then
-        exit (if Cmerge.complete m then 0 else 1)
-      else begin
-        Unix.sleepf interval;
-        loop ()
-      end
-    in
-    loop ()
-  end
-
 let campaign_follow_arg =
   Arg.(
     value & flag
@@ -1619,43 +1451,45 @@ let campaign_follow_arg =
           "Keep re-rendering until every job reaches a terminal state (done or \
            failed), then exit under the status contract.")
 
-let campaign_status_doc =
-  "Report per-job campaign state from the checkpoint directory alone: done / \
-   failed from checkpoints, running / queued from heartbeat liveness, plus \
-   per-shard current stage and an ETA from completed-job durations.  \
-   $(b,--follow) re-renders in place until the campaign reaches a terminal \
-   state; $(b,--json) emits the same view as one JSON object per render.  Exit \
-   0 when complete, 1 when partial or in progress, 2 on infrastructure failure \
-   (unreadable directory or manifest)."
-
 let campaign_status_cmd =
-  let run dir json follow interval = campaign_status_run ~follow dir json interval in
+  let run dir json follow interval =
+    let interval = Float.max 0.1 interval in
+    let rec loop () =
+      let m = load_campaign dir in
+      (* In-place refresh: home the cursor and clear below, so a follow
+         session reads like a dashboard rather than a scroll. *)
+      if follow && not json then print_string "\027[H\027[2J";
+      print_endline (campaign_status ~json dir m);
+      flush stdout;
+      let terminal = m.Cmerge.mg_done + m.Cmerge.mg_failed >= List.length m.Cmerge.mg_states in
+      if follow && not terminal then begin
+        Unix.sleepf interval;
+        loop ()
+      end
+      else exit (if Cmerge.complete m then 0 else 1)
+    in
+    loop ()
+  in
   Cmd.v
-    (Cmd.info "status" ~doc:campaign_status_doc)
+    (Cmd.info "status"
+       ~doc:
+         "Report per-job campaign state from the checkpoint directory alone: done / \
+          failed from checkpoints, running / queued from heartbeat liveness, plus \
+          per-shard current stage and an ETA from completed-job durations.  \
+          $(b,--follow) re-renders in place until the campaign reaches a terminal \
+          state; $(b,--json) emits the same view as one JSON object per render.  Exit \
+          0 when complete, 1 when partial or in progress, 2 on infrastructure failure \
+          (unreadable directory or manifest).")
     Term.(
       const run $ campaign_dir_arg $ campaign_json_arg $ campaign_follow_arg
       $ campaign_interval_arg)
 
-let campaign_watch_cmd =
-  let run dir json interval = campaign_status_run ~follow:true dir json interval in
-  Cmd.v
-    (Cmd.info "watch"
-       ~doc:("Alias for $(b,status --follow).  " ^ campaign_status_doc))
-    Term.(const run $ campaign_dir_arg $ campaign_json_arg $ campaign_interval_arg)
-
 let campaign_merge_cmd =
   let run dir out =
-    match Cmerge.of_dir dir with
-    | Error e ->
-      Printf.eprintf "campaign: %s\n" e;
-      exit 2
-    | Ok m ->
-      let out = campaign_out_of dir out in
-      Smt_obs.Snapshot.write out m.Cmerge.mg_snapshot;
-      print_endline (Cmerge.render_status m);
-      Printf.printf "merged snapshot (%d workloads) written to %s\n" m.Cmerge.mg_done
-        out;
-      exit (if Cmerge.complete m then 0 else 1)
+    let out = campaign_out_of dir out in
+    let m = campaign_merge ~dir ~out in
+    Printf.printf "merged snapshot (%d workloads) written to %s\n" m.Cmerge.mg_done out;
+    exit (if Cmerge.complete m then 0 else 1)
   in
   Cmd.v
     (Cmd.info "merge"
@@ -1669,100 +1503,58 @@ let campaign_merge_cmd =
    supervisor — not intended for interactive use, but safe for it. *)
 let campaign_worker_cmd =
   let run dir circuit technique guard seed attempt telemetry =
-    match (generator_of circuit, technique_of technique) with
-    | Error e, _ | _, Error e ->
-      prerr_endline e;
-      exit 2
-    | Ok gen, Ok t ->
-      if telemetry then begin
-        Trace.enable ();
-        Prof.enable ()
-      end;
-      let guard_mode = guard_of guard in
-      let job =
-        {
-          Cjob.jb_circuit = circuit;
-          jb_technique = Smt_core.Qor.technique_slug t;
-          jb_guard = Flow.guard_name guard_mode;
-          jb_seed = seed;
-        }
-      in
-      let id = Cjob.id job in
-      let hb = Cheart.start ~path:(Cheart.path ~dir id) in
-      let options =
-        {
-          Flow.default_options with
-          Flow.seed;
-          Flow.guard = guard_mode;
-          Flow.on_stage = Some (fun stage -> Cheart.set_stage hb stage);
-        }
-      in
-      let nl = gen (lib ()) in
-      let before = Metrics.counters () in
-      let t0 = Unix.gettimeofday () in
-      (* The checkpoint is the durable decision and lands first; the
-         telemetry sidecar is best-effort enrichment.  A kill between the
-         two writes loses spans, never results. *)
-      let sidecar () =
-        if telemetry then Ctele.write ~dir (Ctele.capture ~job:id ~attempt)
-      in
-      let ok =
-        Fun.protect
-          ~finally:(fun () -> Cheart.stop hb)
-          (fun () ->
-            match Flow.run ~options t nl with
-            | report ->
-              let workload =
-                Smt_obs.Snapshot.workload ~name:(Cjob.name job)
-                  ~qor:(Smt_core.Qor.qor_of report)
-                  ~counters:
-                    (Smt_core.Qor.counter_delta ~before
-                       ~after:(Metrics.counters ()))
-                  ~stage_ms:
-                    (List.map
-                       (fun (s : Flow.stage) ->
-                         (s.Flow.stage_name, s.Flow.stage_ms))
-                       report.Flow.stages)
-              in
-              Ckpt.write ~dir
-                {
-                  Ckpt.cp_version = Ckpt.schema_version;
-                  cp_job = job;
-                  cp_status = Ckpt.Done;
-                  cp_attempt = attempt;
-                  cp_time = Ledger.clock ();
-                  cp_duration_s = Unix.gettimeofday () -. t0;
-                  cp_prof =
-                    List.filter_map
-                      (fun (s : Flow.stage) ->
-                        Option.map
-                          (fun p -> (s.Flow.stage_name, p))
-                          s.Flow.stage_prof)
-                      report.Flow.stages;
-                  cp_workload = Some workload;
-                };
-              sidecar ();
-              true
-            | exception Flow.Flow_error e ->
-              Ckpt.write ~dir
-                {
-                  Ckpt.cp_version = Ckpt.schema_version;
-                  cp_job = job;
-                  cp_status =
-                    Ckpt.Failed
-                      (Printf.sprintf "flow aborted at stage %S: %s"
-                         e.Flow.fe_stage
-                         (String.concat "; " e.Flow.fe_diagnostics));
-                  cp_attempt = attempt;
-                  cp_time = Ledger.clock ();
-                  cp_duration_s = Unix.gettimeofday () -. t0;
-                  cp_prof = [];
-                  cp_workload = None;
-                };
-              sidecar ();
-              false)
-      in
-      if not ok then exit 1
+    let gen = generator_of circuit in
+    let t = technique_of technique in
+    if telemetry then begin
+      Trace.enable ();
+      Prof.enable ()
+    end;
+    let guard_mode = guard_of guard in
+    let job =
+      {
+        Cjob.jb_circuit = circuit;
+        jb_technique = Smt_core.Qor.technique_slug t;
+        jb_guard = Flow.guard_name guard_mode;
+        jb_seed = seed;
+      }
+    in
+    let id = Cjob.id job in
+    let hb = Cheart.start ~path:(Cheart.path ~dir id) in
+    let options =
+      {
+        (seeded seed) with
+        Flow.guard = guard_mode;
+        Flow.on_stage = Some (fun stage -> Cheart.set_stage hb stage);
+      }
+    in
+    let nl = gen (lib ()) in
+    let before = Metrics.counters () in
+    let t0 = Unix.gettimeofday () in
+    (* The checkpoint is the durable decision and lands first; the
+       telemetry sidecar is best-effort enrichment.  A kill between the
+       two writes loses spans, never results. *)
+    let finish_job ?workload status =
+      write_checkpoint ~dir ~job ~attempt ~duration_s:(Unix.gettimeofday () -. t0) ?workload
+        status;
+      if telemetry then Ctele.write ~dir (Ctele.capture ~job:id ~attempt)
+    in
+    let ok =
+      Fun.protect
+        ~finally:(fun () -> Cheart.stop hb)
+        (fun () ->
+          match Flow.run ~options t nl with
+          | report ->
+            let workload = Smt_core.Qor.ledger_workload ~name:(Cjob.name job) ~before report in
+            finish_job ~workload Ckpt.Done;
+            true
+          | exception Flow.Flow_error e ->
+            finish_job
+              (Ckpt.Failed
+                 (Printf.sprintf "flow aborted at stage %S: %s" e.Flow.fe_stage
+                    (String.concat "; " e.Flow.fe_diagnostics)));
+            false)
+    in
+    if not ok then exit 1
   in
   let attempt_arg =
     Arg.(value & opt int 1 & info [ "attempt" ] ~docv:"N" ~doc:"Supervisor attempt number.")
@@ -1795,8 +1587,8 @@ let campaign_cmd =
           backoff, quarantine, and seeded chaos injection; checkpoint every job \
           atomically; merge byte-deterministically.")
     [
-      campaign_run_cmd; campaign_status_cmd; campaign_watch_cmd; campaign_resume_cmd;
-      campaign_merge_cmd; campaign_worker_cmd;
+      campaign_run_cmd; campaign_status_cmd; campaign_resume_cmd; campaign_merge_cmd;
+      campaign_worker_cmd;
     ]
 
 (* --- run-ledger inspection: smt_flow runs {list,show,trend,gc} --- *)
@@ -1813,16 +1605,10 @@ let ledger_path_of = function
   | None -> (
     match Ledger.default_path () with
     | Some p -> p
-    | None ->
-      prerr_endline "no ledger: pass --ledger FILE or set SMT_LEDGER";
-      exit 2)
+    | None -> die "no ledger: pass --ledger FILE or set SMT_LEDGER")
 
 let read_ledger_or_die path =
-  match Ledger.read path with
-  | Ok r -> r
-  | Error e ->
-    Printf.eprintf "cannot read ledger %s: %s\n" path e;
-    exit 2
+  or_die ~ctx:(Printf.sprintf "cannot read ledger %s: %s" path) (Ledger.read path)
 
 let time_str t =
   if Float.is_integer t && Float.abs t < 1e15 then Printf.sprintf "%.0f" t
@@ -1869,46 +1655,41 @@ let runs_list_cmd =
 
 let runs_show_cmd =
   let run ledger id =
-    let path = ledger_path_of ledger in
-    match Ledger.find path id with
-    | Error e ->
-      prerr_endline e;
-      exit 2
-    | Ok r ->
-      Printf.printf "record %s (schema v%d)\n" r.Ledger.r_id r.Ledger.r_version;
-      Printf.printf "  time      %s\n" (time_str r.Ledger.r_time);
-      Printf.printf "  tool      %s\n" r.Ledger.r_tool;
-      Printf.printf "  kind      %s\n" r.Ledger.r_kind;
-      if r.Ledger.r_tag <> "" then Printf.printf "  tag       %s\n" r.Ledger.r_tag;
-      Printf.printf "  circuit   %s\n" r.Ledger.r_circuit;
-      Printf.printf "  technique %s\n" r.Ledger.r_technique;
-      Printf.printf "  guard     %s\n" r.Ledger.r_guard;
-      Printf.printf "  jobs      %d\n" r.Ledger.r_jobs;
-      Printf.printf "  args_hash %s\n" r.Ledger.r_args_hash;
-      List.iter
-        (fun (lw : Ledger.workload) ->
-          let w = lw.Ledger.lw_workload in
-          Printf.printf "\nworkload %s\n" w.Smt_obs.Snapshot.w_name;
-          List.iter
-            (fun (k, v) -> Printf.printf "  qor.%s = %s\n" k (time_str v))
-            w.Smt_obs.Snapshot.w_qor;
-          List.iter
-            (fun (k, v) -> Printf.printf "  counter.%s = %d\n" k v)
-            w.Smt_obs.Snapshot.w_counters;
-          List.iter
-            (fun (stage, ms) ->
-              let prof =
-                match List.assoc_opt stage lw.Ledger.lw_prof with
-                | None -> ""
-                | Some (p : Prof.stats) ->
-                  Printf.sprintf " [minor %.2f Mw, major %.2f Mw, gc %d/%d]"
-                    (p.Prof.minor_words /. 1e6)
-                    (p.Prof.major_words /. 1e6)
-                    p.Prof.minor_collections p.Prof.major_collections
-              in
-              Printf.printf "  stage %-55s %8.1f ms%s\n" stage ms prof)
-            w.Smt_obs.Snapshot.w_stage_ms)
-        r.Ledger.r_workloads
+    let r = or_die (Ledger.find (ledger_path_of ledger) id) in
+    Printf.printf "record %s (schema v%d)\n" r.Ledger.r_id r.Ledger.r_version;
+    Printf.printf "  time      %s\n" (time_str r.Ledger.r_time);
+    Printf.printf "  tool      %s\n" r.Ledger.r_tool;
+    Printf.printf "  kind      %s\n" r.Ledger.r_kind;
+    if r.Ledger.r_tag <> "" then Printf.printf "  tag       %s\n" r.Ledger.r_tag;
+    Printf.printf "  circuit   %s\n" r.Ledger.r_circuit;
+    Printf.printf "  technique %s\n" r.Ledger.r_technique;
+    Printf.printf "  guard     %s\n" r.Ledger.r_guard;
+    Printf.printf "  jobs      %d\n" r.Ledger.r_jobs;
+    Printf.printf "  args_hash %s\n" r.Ledger.r_args_hash;
+    List.iter
+      (fun (lw : Ledger.workload) ->
+        let w = lw.Ledger.lw_workload in
+        Printf.printf "\nworkload %s\n" w.Smt_obs.Snapshot.w_name;
+        List.iter
+          (fun (k, v) -> Printf.printf "  qor.%s = %s\n" k (time_str v))
+          w.Smt_obs.Snapshot.w_qor;
+        List.iter
+          (fun (k, v) -> Printf.printf "  counter.%s = %d\n" k v)
+          w.Smt_obs.Snapshot.w_counters;
+        List.iter
+          (fun (stage, ms) ->
+            let prof =
+              match List.assoc_opt stage lw.Ledger.lw_prof with
+              | None -> ""
+              | Some (p : Prof.stats) ->
+                Printf.sprintf " [minor %.2f Mw, major %.2f Mw, gc %d/%d]"
+                  (p.Prof.minor_words /. 1e6)
+                  (p.Prof.major_words /. 1e6)
+                  p.Prof.minor_collections p.Prof.major_collections
+            in
+            Printf.printf "  stage %-55s %8.1f ms%s\n" stage ms prof)
+          w.Smt_obs.Snapshot.w_stage_ms)
+      r.Ledger.r_workloads
   in
   let id_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc:"Record id.")
@@ -1921,12 +1702,10 @@ let runs_trend_cmd =
     let jobs = jobs_of jobs in
     let records =
       match snapshot_dir with
-      | Some dir -> (
-        match Trend.of_snapshot_dir dir with
-        | Ok rs -> rs
-        | Error e ->
-          Printf.eprintf "cannot read snapshot dir %s: %s\n" dir e;
-          exit 2)
+      | Some dir ->
+        or_die
+          ~ctx:(Printf.sprintf "cannot read snapshot dir %s: %s" dir)
+          (Trend.of_snapshot_dir dir)
       | None -> (read_ledger_or_die (ledger_path_of ledger)).Ledger.records
     in
     (* Fan the per-workload analysis out over domains; concatenating in
@@ -1991,19 +1770,16 @@ let runs_trend_cmd =
 
 let runs_gc_cmd =
   let run ledger keep =
-    let path = ledger_path_of ledger in
-    match Ledger.gc ?keep path with
-    | Error e ->
-      Printf.eprintf "ledger gc: %s\n" e;
-      exit 2
-    | Ok g ->
-      Printf.printf "ledger gc: kept %d record%s, dropped %d malformed line%s, %d old record%s\n"
-        g.Ledger.kept
-        (if g.Ledger.kept = 1 then "" else "s")
-        g.Ledger.dropped_malformed
-        (if g.Ledger.dropped_malformed = 1 then "" else "s")
-        g.Ledger.dropped_old
-        (if g.Ledger.dropped_old = 1 then "" else "s")
+    let g =
+      or_die ~ctx:(Printf.sprintf "ledger gc: %s") (Ledger.gc ?keep (ledger_path_of ledger))
+    in
+    Printf.printf "ledger gc: kept %d record%s, dropped %d malformed line%s, %d old record%s\n"
+      g.Ledger.kept
+      (if g.Ledger.kept = 1 then "" else "s")
+      g.Ledger.dropped_malformed
+      (if g.Ledger.dropped_malformed = 1 then "" else "s")
+      g.Ledger.dropped_old
+      (if g.Ledger.dropped_old = 1 then "" else "s")
   in
   let keep_arg =
     Arg.(
@@ -2027,18 +1803,13 @@ let runs_cmd =
 
 let flame_cmd =
   let run trace out =
-    match Flame.of_file trace with
-    | Error e ->
-      Printf.eprintf "flame: %s\n" e;
-      exit 2
-    | Ok folded ->
-      let rendered = Flame.render folded in
-      (match out with
-      | Some path ->
-        J.to_file path rendered;
-        Printf.eprintf "folded stacks written to %s (%d stacks)\n%!" path
-          (List.length folded)
-      | None -> print_string rendered)
+    let folded = or_die ~ctx:(Printf.sprintf "flame: %s") (Flame.of_file trace) in
+    let rendered = Flame.render folded in
+    match out with
+    | Some path ->
+      J.to_file path rendered;
+      Printf.eprintf "folded stacks written to %s (%d stacks)\n%!" path (List.length folded)
+    | None -> print_string rendered
   in
   let trace_pos_arg =
     Arg.(
@@ -2081,11 +1852,8 @@ let netlist_cmd =
   in
   let circuit_arg = circuit_opt "mult8" in
   let generator circuit =
-    match generator_of circuit with
-    | Ok g -> fun () -> g (Lazy.force l)
-    | Error e ->
-      prerr_endline e;
-      exit 2
+    let g = generator_of circuit in
+    fun () -> g (Lazy.force l)
   in
   let emit out text =
     match out with
@@ -2132,9 +1900,7 @@ let netlist_cmd =
   in
   let sdf path out =
     let nl = load path in
-    let probe = 1e6 in
-    let sta0 = Sta.analyze (Sta.config ~clock_period:probe ()) nl in
-    let period = (probe -. Sta.wns sta0) *. 1.1 in
+    let period = Flow.minimal_period nl *. 1.1 in
     let sta = Sta.analyze (Sta.config ~clock_period:period ()) nl in
     emit out (Smt_sta.Sdf.to_string ~t:sta ~design:(Smt_netlist.Netlist.design_name nl))
   in

@@ -38,9 +38,7 @@ let () =
 
   (* 2. multiple power domains: partial standby states *)
   let nl2 = Generators.multiplier ~name:"mult8d" ~bits:8 lib in
-  let probe = 1e6 in
-  let sta = Sta.analyze (Sta.config ~clock_period:probe ()) nl2 in
-  let period = (probe -. Sta.wns sta) *. 1.05 in
+  let period = Flow.minimal_period nl2 *. 1.05 in
   ignore (Vth_assign.assign (Sta.config ~clock_period:period ()) nl2);
   ignore (Mt_replace.replace Mt_replace.Improved nl2);
   let place = Placement.place nl2 in

@@ -107,35 +107,3 @@ let of_dir dir =
 let complete m = m.mg_failed = 0 && m.mg_missing = 0
 
 let workloads m = m.mg_workloads
-
-let render_status m =
-  let header = [ "Job"; "State"; "Attempts"; "Detail" ] in
-  let rows =
-    List.map
-      (fun js ->
-        let state, detail =
-          match js.js_state with
-          | Sdone -> ("done", "")
-          | Sfailed e -> ("failed", e)
-          | Smissing -> ("missing", "")
-        in
-        [
-          Job.id js.js_job;
-          state;
-          (if js.js_attempt = 0 then "-" else string_of_int js.js_attempt);
-          detail;
-        ])
-      m.mg_states
-  in
-  let summary =
-    Printf.sprintf "campaign %s: %d/%d done, %d failed, %d missing%s" m.mg_tag
-      m.mg_done
-      (List.length m.mg_states)
-      m.mg_failed m.mg_missing
-      (if m.mg_unreadable = 0 then ""
-       else
-         Printf.sprintf " (%d unreadable checkpoint%s treated as missing)"
-           m.mg_unreadable
-           (if m.mg_unreadable = 1 then "" else "s"))
-  in
-  Smt_util.Text_table.render ~header rows ^ "\n" ^ summary

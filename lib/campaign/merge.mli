@@ -1,5 +1,5 @@
 (** Deterministic reassembly of a campaign's checkpoints into one QoR
-    snapshot, plus the coverage report behind [campaign status].
+    snapshot, plus the per-job states behind [campaign status].
 
     The merged snapshot contains one workload per [Done] checkpoint,
     {b byte-deterministic} regardless of shard count, scheduling, chaos
@@ -60,6 +60,3 @@ val workloads : t -> Smt_obs.Ledger.workload list
     worker checkpoints — what [campaign run] appends to the run ledger,
     so [runs show]/[runs gc]-style analysis works on campaign records
     exactly as on single-process runs. *)
-
-val render_status : t -> string
-(** Per-job state table plus a one-line summary. *)

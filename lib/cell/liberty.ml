@@ -64,10 +64,6 @@ let to_string lib =
   Buffer.add_string b "}\n";
   Buffer.contents b
 
-let to_file lib path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string lib))
-
 (* --- subset reader --- *)
 
 type parsed_cell = {

@@ -8,8 +8,6 @@
 
 val to_string : Library.t -> string
 
-val to_file : Library.t -> string -> unit
-
 val cell_count : Library.t -> int
 (** Number of cells the export will contain. *)
 

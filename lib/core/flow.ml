@@ -174,7 +174,7 @@ type report = {
    model: run STA at a huge period and subtract the worst slack. *)
 let endpoint_free_fallback_ps = 100.0
 
-let minimal_period ?(slew_aware = false) ~wire nl =
+let minimal_period ?(slew_aware = false) ?(wire = Wire.zero) nl =
   let probe = 1e6 in
   let cfg = Sta.config ~wire ~slew_aware ~clock_period:probe () in
   let sta = Sta.analyze cfg nl in

@@ -167,10 +167,17 @@ val endpoint_free_fallback_ps : float
     meaningless one.  The condition is logged at [warn] level and surfaces
     from the checker as a [no-timing-endpoints] violation. *)
 
-val minimal_period : ?slew_aware:bool -> wire:Smt_sta.Wire.t -> Smt_netlist.Netlist.t -> float
-(** Minimal clock period of the netlist under the wire model: STA at a
-    probe period minus the worst slack.  Falls back to
+val minimal_period :
+  ?slew_aware:bool -> ?wire:Smt_sta.Wire.t -> Smt_netlist.Netlist.t -> float
+(** Minimal clock period of the netlist under the wire model (default
+    {!Smt_sta.Wire.zero}, ideal wires, as in {!Smt_sta.Sta.config}): STA
+    at a probe period minus the worst slack.  Falls back to
     {!endpoint_free_fallback_ps} when the design has no timing endpoints. *)
+
+val connect_embedded_mte : Smt_netlist.Netlist.t -> Smt_netlist.Netlist.net_id -> unit
+(** Connect the MTE pin of every embedded MT-cell ({!Smt_cell.Vth.Mt_embedded})
+    that has none to the given net — the conventional flow's sleep-enable
+    wiring after {!Mt_replace.replace}. *)
 
 val run : ?options:options -> technique -> Smt_netlist.Netlist.t -> report
 (** @raise Flow_error under {!Guard_strict} on Error-severity violations. *)

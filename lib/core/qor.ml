@@ -35,24 +35,23 @@ let qor_of (r : Flow.report) =
     ("total_switch_width", r.Flow.total_switch_width);
   ]
 
-let run_workload ~options (name, gen, t) =
-  let before = Metrics.counters () in
-  let r = Flow.run ~options t (gen (Library.default ())) in
-  let after = Metrics.counters () in
-  let workload =
-    Snapshot.workload ~name ~qor:(qor_of r)
-      ~counters:(counter_delta ~before ~after)
-      ~stage_ms:
-        (List.map (fun (s : Flow.stage) -> (s.Flow.stage_name, s.Flow.stage_ms)) r.Flow.stages)
-  in
+let ledger_workload ~name ~before (r : Flow.report) =
   {
-    Smt_obs.Ledger.lw_workload = workload;
+    Smt_obs.Ledger.lw_workload =
+      Snapshot.workload ~name ~qor:(qor_of r)
+        ~counters:(counter_delta ~before ~after:(Metrics.counters ()))
+        ~stage_ms:
+          (List.map (fun (s : Flow.stage) -> (s.Flow.stage_name, s.Flow.stage_ms)) r.Flow.stages);
     Smt_obs.Ledger.lw_prof =
       List.filter_map
         (fun (s : Flow.stage) ->
           Option.map (fun p -> (s.Flow.stage_name, p)) s.Flow.stage_prof)
         r.Flow.stages;
   }
+
+let run_workload ~options (name, gen, t) =
+  let before = Metrics.counters () in
+  ledger_workload ~name ~before (Flow.run ~options t (gen (Library.default ())))
 
 let collect_ledger ?(seed = 1) ?(jobs = 1) ~tag () =
   let options = { Flow.default_options with Flow.seed } in

@@ -29,6 +29,14 @@ val qor_of : Flow.report -> (string * float) list
 (** The snapshot's QoR fields for one report: area, standby leakage, WNS,
     cluster/switch/holder/MT-cell counts, total switch width. *)
 
+val ledger_workload :
+  name:string -> before:(string * int) list -> Flow.report -> Smt_obs.Ledger.workload
+(** One completed flow run in run-ledger form: [qor_of] the report, the
+    counter deltas from [before] to the calling domain's counters now, the
+    per-stage wall-clock, and the per-stage GC attribution (empty unless
+    profiling was on).  The one conversion behind snapshots, ledger
+    records and campaign checkpoints. *)
+
 val collect_ledger :
   ?seed:int ->
   ?jobs:int ->

@@ -6,51 +6,6 @@ module Cell = Smt_cell.Cell
 module Func = Smt_cell.Func
 module Text_table = Smt_util.Text_table
 
-let timing ?(paths = 3) sta =
-  let nl = Sta.netlist sta in
-  let b = Buffer.create 2048 in
-  Buffer.add_string b
-    (Printf.sprintf "Timing report: wns %.1f ps, tns %.1f ps, hold %.1f ps, %d endpoints\n"
-       (Sta.wns sta) (Sta.tns sta) (Sta.worst_hold_slack sta)
-       (List.length (Sta.endpoints sta)));
-  List.iter
-    (fun (p : Sta.path) ->
-      let ep = p.Sta.path_endpoint in
-      Buffer.add_string b
-        (Printf.sprintf "\nendpoint %s: arrival %.1f, required %.1f, slack %.1f %s\n"
-           (Sta.endpoint_name sta ep) ep.Sta.arrival ep.Sta.required ep.Sta.slack
-           (if ep.Sta.slack >= 0.0 then "(MET)" else "(VIOLATED)"));
-      let body =
-        List.map
-          (fun (a : Sta.path_arc) ->
-            let who, what =
-              match a.Sta.arc_inst with
-              | Some iid -> (Netlist.inst_name nl iid, (Netlist.cell nl iid).Cell.name)
-              | None -> ("(launch)", "-")
-            in
-            [
-              who; what;
-              Printf.sprintf "%.1f" a.Sta.arc_cell_delay;
-              Printf.sprintf "%.1f" a.Sta.arc_wire_delay;
-              Printf.sprintf "%.1f" a.Sta.arc_arrival;
-            ])
-          p.Sta.path_arcs
-        @ [
-            [
-              "(capture)"; "-"; "0.0";
-              Printf.sprintf "%.1f" p.Sta.path_capture_wire;
-              Printf.sprintf "%.1f" ep.Sta.arrival;
-            ];
-          ]
-      in
-      Buffer.add_string b
-        (Text_table.render
-           ~header:[ "Instance"; "Cell"; "Cell ps"; "Wire ps"; "Arrival ps" ]
-           body);
-      Buffer.add_char b '\n')
-    (Sta.worst_paths sta paths);
-  Buffer.contents b
-
 let power nl =
   let lk = Leakage.standby nl in
   let total = lk.Leakage.total in

@@ -1,14 +1,10 @@
-(** Human-readable sign-off reports (timing, power, area).
+(** Human-readable sign-off reports (timing summary, power, area).
 
     The text formats follow the conventions of commercial sign-off tools:
-    a timing report lists the worst endpoints with a per-stage breakdown of
-    the worst path into each; the power report splits standby leakage by
-    contributor; the area report splits by cell category and names the
-    heaviest cell kinds. *)
-
-val timing : ?paths:int -> Smt_sta.Sta.t -> string
-(** Worst [paths] endpoints (default 3), each with its launch-to-capture
-    path: per-stage instance, cell, incremental delay and arrival. *)
+    the power report splits standby leakage by contributor; the area report
+    splits by cell category and names the heaviest cell kinds.  The
+    critical-path tables come from {!Explain.paths}, which reads the flow's
+    own final analysis. *)
 
 val power : Smt_netlist.Netlist.t -> string
 (** Standby leakage breakdown, with each contributor's share. *)

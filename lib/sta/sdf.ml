@@ -39,8 +39,3 @@ let to_string ~t ~design =
   Buffer.add_string b ")\n";
   Buffer.contents b
 
-let to_file ~t ~design path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ~t ~design))

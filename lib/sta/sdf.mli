@@ -7,7 +7,5 @@
 
 val to_string : t:Sta.t -> design:string -> string
 
-val to_file : t:Sta.t -> design:string -> string -> unit
-
 val instance_count : Sta.t -> int
 (** Number of IOPATH-bearing instances the export will contain. *)

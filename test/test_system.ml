@@ -8,6 +8,7 @@ module Global_router = Smt_route.Global_router
 module Sta = Smt_sta.Sta
 module Flow = Smt_core.Flow
 module Report = Smt_core.Report
+module Explain = Smt_core.Explain
 module Standby = Smt_core.Standby
 module Switch_insert = Smt_core.Switch_insert
 module Mt_replace = Smt_core.Mt_replace
@@ -89,24 +90,29 @@ let test_router_parasitics () =
 
 let flow_report = lazy (
   let nl = Generators.multiplier ~name:"m6r" ~bits:6 lib in
-  let r = Flow.run Flow.Improved_smt nl in
-  (nl, r))
+  let r, art = Flow.run_with_artifacts Flow.Improved_smt nl in
+  (nl, (r, art)))
+
+(* The flow's artifacts with the timing context swapped for an analysis
+   at [period] on ideal wires, so the path report's verdict is known. *)
+let artifacts_at period =
+  let nl, (r, art) = Lazy.force flow_report in
+  let cfg = Sta.config ~clock_period:period () in
+  (r, { art with Flow.art_cfg = cfg; Flow.art_sta = Sta.analyze cfg nl })
 
 let test_timing_report () =
-  let nl, _ = Lazy.force flow_report in
-  let sta = Sta.analyze (Sta.config ~clock_period:5000.0 ()) nl in
-  let text = Report.timing ~paths:2 sta in
+  let r, art = artifacts_at 5000.0 in
+  let text = Explain.paths ~k:2 r art in
   Alcotest.(check bool) "mentions wns" true (contains text "wns");
-  Alcotest.(check bool) "has endpoint section" true (contains text "endpoint");
+  Alcotest.(check bool) "has path section" true (contains text "path to");
   Alcotest.(check bool) "has path table" true
     (contains text "Cell ps" && contains text "Wire ps");
   Alcotest.(check bool) "met at 5ns" true (contains text "(MET)")
 
 let test_timing_report_violated () =
-  let nl, _ = Lazy.force flow_report in
-  let sta = Sta.analyze (Sta.config ~clock_period:10.0 ()) nl in
+  let r, art = artifacts_at 10.0 in
   Alcotest.(check bool) "flags violation" true
-    (contains (Report.timing sta) "(VIOLATED)")
+    (contains (Explain.paths r art) "(VIOLATED)")
 
 let test_power_report () =
   let nl, _ = Lazy.force flow_report in
@@ -155,7 +161,7 @@ let test_sdf_export () =
   Alcotest.(check int) "balanced" !opens !closes
 
 let test_json_export () =
-  let nl, r = Lazy.force flow_report in
+  let nl, (r, _) = Lazy.force flow_report in
   ignore nl;
   let text = Smt_core.Report_json.of_report r in
   Alcotest.(check bool) "object" true (text.[0] = '{');
